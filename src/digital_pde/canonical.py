@@ -1,7 +1,6 @@
 """Canonical forms and exact isomorphism testing for small graphs.
 
-Used as memoization keys by the topology module (sphere verdicts,
-contractibility) and by tests that compare graphs up to relabeling.
+Used by tests that compare graphs up to relabeling.
 The implementation is a small refine-and-individualize search, fine
 for the graph sizes in scope (tens of points); it makes no attempt
 at nauty-level performance.

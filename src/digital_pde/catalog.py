@@ -213,7 +213,7 @@ def verify_entry(e: CatalogEntry) -> None:
     g = e.space
     if e.rim_sizes:
         for p, size in e.rim_sizes.items():
-            actual = len(g.rim(p).points)
+            actual = g.degree(p)
             if actual != size:
                 raise CatalogVerificationError(
                     f"{e.name}: rim of {p} has {actual} points, expected {size}")
@@ -228,7 +228,7 @@ def verify_entry(e: CatalogEntry) -> None:
                 f"{report.witness_point}: {report.witness_reason}")
     elif e.kind == "manifold-with-boundary":
         for p in e.interior_points or []:
-            if not _sphere_verdict(g.rim(p).detach(), e.dimension - 1):
+            if not _sphere_verdict(g.rim(p), e.dimension - 1):
                 raise CatalogVerificationError(
                     f"{e.name}: interior point {p} rim is not a "
                     f"{e.dimension - 1}-sphere")

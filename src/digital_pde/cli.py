@@ -113,7 +113,11 @@ def verify(source, dim, kind):
 def invariants_cmd(source):
     """Euler characteristic and integral homology of the clique complex."""
     g = _load_graph(source)
-    click.echo(json.dumps(homology(g).to_json_dict(), indent=2))
+    try:
+        profile = homology(g)
+    except ValueError as exc:
+        _fail_input(str(exc))
+    click.echo(json.dumps(profile.to_json_dict(), indent=2))
 
 
 @main.command("transform")

@@ -133,6 +133,15 @@ class DigitalSpace:
         edges = [e for e in self.edges if v not in e]
         return DigitalSpace(pts, edges, name=self.name)
 
+    def delete_points(self, vs: Iterable[int]) -> "DigitalSpace":
+        gone = set(vs)
+        for v in gone:
+            if v not in self._adj:
+                raise UnknownPointError(f"unknown point {v}")
+        pts = tuple(p for p in self.points if p not in gone)
+        edges = [e for e in self.edges if e[0] not in gone and e[1] not in gone]
+        return DigitalSpace(pts, edges, name=self.name)
+
     def delete_edge(self, u, v) -> "DigitalSpace":
         e = _normalize_edge(u, v)
         if e not in self.edges:

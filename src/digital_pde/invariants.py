@@ -83,9 +83,24 @@ def clique_complex(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> CliqueCom
     return CliqueComplex(levels)
 
 
+def _whole_complex(g: DigitalSpace, max_dim: int) -> CliqueComplex:
+    """The clique complex of g, refused when it has simplices above max_dim.
+
+    Enumeration goes one degree past max_dim to find out: a complex cut
+    off at max_dim has the wrong Euler characteristic and mis-ranks its
+    top degree, whose homology depends on the boundary from above.
+    """
+    cx = clique_complex(g, max_dim + 1)
+    if cx.max_dim > max_dim:
+        raise ValueError(
+            f"clique complex has {max_dim + 2}-point cliques, above max_dim={max_dim}; "
+            f"pass a larger max_dim")
+    return cx
+
+
 def euler_characteristic(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> int:
     """Alternating sum of clique counts."""
-    return clique_complex(g, max_dim).euler_characteristic()
+    return _whole_complex(g, max_dim).euler_characteristic()
 
 
 def boundary_matrix(cx: CliqueComplex, k: int) -> List[List[int]]:
@@ -183,8 +198,9 @@ def homology(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> HomologyProfile
     betti[k] = dim C_k - rank d_k - rank d_{k+1}; torsion[k] collects
     the elementary divisors of d_{k+1} that exceed one.  The Euler
     characteristic is cross-checked against the Betti alternating sum.
+    Raises ValueError when g has cliques of more than max_dim + 1 points.
     """
-    cx = clique_complex(g, max_dim)
+    cx = _whole_complex(g, max_dim)
     top = cx.max_dim
     ranks: Dict[int, int] = {0: 0, top + 1: 0}
     torsion_of: Dict[int, List[int]] = {top + 1: []}

@@ -23,6 +23,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict
 
 import numpy as np
@@ -34,6 +35,25 @@ from .solver import CoefficientMatrix, Problem, Trajectory, bind, uniform_coeffi
 
 class ProblemFormatError(ValueError):
     """The problem JSON failed validation; the message names the field."""
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float, or a ProblemFormatError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ProblemFormatError(f"{name}: expected a number, got {value!r}")
+    if not math.isfinite(x):
+        raise ProblemFormatError(f"{name}: expected a finite number, got {value!r}")
+    return x
+
+
+def _steps(value) -> int:
+    integral = ((isinstance(value, int) and not isinstance(value, bool))
+                or (isinstance(value, float) and value.is_integer()))
+    if not integral or value < 0:
+        raise ProblemFormatError(f"steps: expected a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def _load_space(spec) -> DigitalSpace:
@@ -65,18 +85,19 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
             if p not in index or k not in index:
                 raise ProblemFormatError(
                     f"coefficients.entries: unknown point in {item!r}")
-            mat[index[p], index[k]] = float(v)
+            mat[index[p], index[k]] = _finite(v, "coefficients.entries")
         return bind(space, mat)
     if "uniform_offdiag" in spec:
-        offdiag = float(spec["uniform_offdiag"])
+        offdiag = _finite(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
         if "diag_map" in spec:
-            diag = {int(p): float(v) for p, v in spec["diag_map"].items()}
+            diag = {int(p): _finite(v, "coefficients.diag_map")
+                    for p, v in spec["diag_map"].items()}
             missing = set(space.points) - set(diag)
             if missing:
                 raise ProblemFormatError(
                     f"coefficients.diag_map: missing points {sorted(missing)}")
         elif "diag" in spec:
-            diag = float(spec["diag"])
+            diag = _finite(spec["diag"], "coefficients.diag")
         else:
             raise ProblemFormatError("coefficients: uniform_offdiag needs diag or diag_map")
         return uniform_coefficients(space, offdiag, diag)
@@ -88,14 +109,14 @@ def _load_initial(space: DigitalSpace, spec) -> np.ndarray:
     if isinstance(spec, list):
         if len(spec) != n:
             raise ProblemFormatError(f"initial: expected {n} values, got {len(spec)}")
-        return np.asarray(spec, dtype=float)
+        return np.array([_finite(v, "initial") for v in spec])
     if isinstance(spec, dict):
         point = spec.get("point")
         if point not in space:
             raise ProblemFormatError(f"initial.point: unknown point {point!r}")
-        rest = float(spec.get("rest", 0.0))
+        rest = _finite(spec.get("rest", 0.0), "initial.rest")
         values = np.full(n, rest)
-        values[space.points.index(point)] = float(spec["value"])
+        values[space.points.index(point)] = _finite(spec.get("value"), "initial.value")
         return values
     raise ProblemFormatError("initial: expected list or point/value form")
 
@@ -115,7 +136,8 @@ def problem_from_json_dict(d: dict) -> Problem:
         unknown = set(points) - set(space.points)
         if unknown:
             raise ProblemFormatError(f"boundary.points: unknown {sorted(unknown)}")
-        clamp: Dict[int, float] = {p: float(v) for p, v in zip(points, values)}
+        clamp: Dict[int, float] = {p: _finite(v, "boundary.values")
+                                   for p, v in zip(points, values)}
         boundary_points = list(points)
         boundary_values = lambda t: clamp  # noqa: E731 - constant clamps
     return Problem(
@@ -124,8 +146,8 @@ def problem_from_json_dict(d: dict) -> Problem:
         initial=initial,
         boundary_points=boundary_points,
         boundary_values=boundary_values,
-        steps=int(d.get("steps", 2000)),
-        tol=float(d.get("tol", 1e-10)),
+        steps=_steps(d.get("steps", 2000)),
+        tol=_finite(d.get("tol", 1e-10), "tol"),
     )
 
 

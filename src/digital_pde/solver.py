@@ -62,9 +62,6 @@ class CoefficientMatrix:
     def at(self, t: int) -> np.ndarray:
         return self.matrix if self.rule is None else self.rule(t)
 
-    def point_of(self, row: int) -> int:
-        return self.space.points[row]
-
 
 def bind(space: DigitalSpace, matrix: np.ndarray,
          rule: Optional[MatrixRule] = None) -> CoefficientMatrix:

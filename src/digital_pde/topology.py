@@ -10,30 +10,32 @@ connected graph all of whose rims are (n-1)-spheres and which stays
 contractible after deleting any single point; an n-manifold only needs
 the rim condition.  A 0-sphere is two isolated points.
 
+Every graph these checks visit (rims, rims of rims, G - v, the
+intermediate graphs of a deletion search) is an induced subgraph of the
+graph the check started on.  So each public call makes one
+``_Verdicts`` over its input, names every such subgraph by its point
+set, and decides it from the input's adjacency without building it.
+Verdicts are memoized by point set for the length of that call only.
 Greedy deletion can dead-end in principle, so contractibility is a
-depth-first search over deletion choices with memoization; verdicts
-for sphere/surface checks are cached by canonical form because rim
-checks revisit the same small graphs constantly.
+depth-first search over deletion choices, run on an explicit stack
+because a deletion sequence is as long as the graph.  A graph with a
+point adjacent to all others is contractible outright (the cone lemma).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .canonical import canonical_form
-from .graph_core import DigitalSpace, Subspace, UnknownEdgeError, join
-
-# Shared verdict caches, keyed by canonical form (label-independent).
-_contractible_cache: Dict[tuple, bool] = {}
-_sphere_cache: Dict[tuple, bool] = {}
-_surface_cache: Dict[tuple, bool] = {}
+from .graph_core import DigitalSpace, Subspace, UnknownEdgeError, UnknownPointError, join
 
 
 def clear_caches() -> None:
-    _contractible_cache.clear()
-    _sphere_cache.clear()
-    _surface_cache.clear()
+    """Kept for callers that reset state between runs.
+
+    Verdict memos live only as long as one public call, so there is
+    nothing left to clear.
+    """
 
 
 @dataclass
@@ -75,6 +77,111 @@ class ManifoldReport:
         }
 
 
+class _Verdicts:
+    """Memoized verdicts on the induced subgraphs of one graph.
+
+    A subgraph is given by its point set: the rim of v in S is
+    ``adj[v] & S`` and S - v is ``S - {v}``.  Point sets passed in must
+    be nonempty unless a method says otherwise.
+    """
+
+    def __init__(self, g: DigitalSpace):
+        self.adj = {v: g.neighbors(v) for v in g.points}
+        self._contractible: Dict[frozenset, bool] = {}
+        self._sphere: Dict[Tuple[frozenset, int], bool] = {}
+        self._surface: Dict[Tuple[frozenset, int], bool] = {}
+
+    def connected(self, pts: frozenset) -> bool:
+        adj = self.adj
+        start = next(iter(pts))
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in adj[stack.pop()] & pts:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(pts)
+
+    def is_simple(self, live: frozenset, v) -> bool:
+        rim = self.adj[v] & live
+        return bool(rim) and self.contractible(rim)
+
+    def contractible(self, pts: frozenset) -> bool:
+        known = self._contractible.get(pts)
+        if known is None:
+            others = len(pts) - 1
+            known = others == 0 or (
+                self.connected(pts)
+                and (any(len(self.adj[v] & pts) == others for v in pts)  # cone
+                     or self.reduction(pts) is not None))
+            self._contractible[pts] = known
+        return known
+
+    def _simple_points(self, live: frozenset) -> Iterator[int]:
+        """Simple points of ``live``, smallest rim first, then by label."""
+        adj = self.adj
+        for _, v in sorted((len(adj[v] & live), v) for v in live):
+            if self.is_simple(live, v):
+                yield v
+
+    def reduction(self, start: frozenset) -> Optional[List[int]]:
+        """Simple-point deletions reducing connected ``start`` to one
+        point, the first such sequence in search order, or None."""
+        memo = self._contractible
+        order: List[int] = []
+        stack = [(start, self._simple_points(start))]
+        while len(stack[-1][0]) > 1:
+            live, candidates = stack[-1]
+            for v in candidates:
+                rest = live - {v}
+                if memo.get(rest) is not False:
+                    order.append(v)
+                    stack.append((rest, self._simple_points(rest)))
+                    break
+            else:
+                memo[live] = False
+                stack.pop()
+                if not stack:
+                    return None
+                order.pop()
+        for live, _ in stack:
+            memo[live] = True
+        return order
+
+    def _two_isolated(self, pts: frozenset) -> bool:
+        return len(pts) == 2 and not any(self.adj[v] & pts for v in pts)
+
+    def sphere(self, pts: frozenset, n: int) -> bool:
+        """Digital n-sphere verdict; ``pts`` may be empty."""
+        if n <= 0:
+            return n == 0 and self._two_isolated(pts)
+        key = (pts, n)
+        known = self._sphere.get(key)
+        if known is None:
+            adj = self.adj
+            # The definition quantifies over every point: S - v must be
+            # contractible for each v, not just one sample.
+            known = (len(pts) >= 2 and self.connected(pts)
+                     and all(self.sphere(adj[v] & pts, n - 1) for v in pts)
+                     and all(self.contractible(pts - {v}) for v in pts))
+            self._sphere[key] = known
+        return known
+
+    def surface(self, pts: frozenset, n: int) -> bool:
+        """Digital n-surface verdict; ``pts`` may be empty."""
+        if n <= 0:
+            return n == 0 and self._two_isolated(pts)
+        key = (pts, n)
+        known = self._surface.get(key)
+        if known is None:
+            adj = self.adj
+            known = (len(pts) > 0 and self.connected(pts)
+                     and all(self.surface(adj[v] & pts, n - 1) for v in pts))
+            self._surface[key] = known
+        return known
+
+
 # ---------------------------------------------------------------------------
 # contractibility
 # ---------------------------------------------------------------------------
@@ -90,65 +197,25 @@ def is_contractible(g: DigitalSpace) -> Tuple[bool, Optional[ReductionTrace]]:
         raise ValueError("contractibility is undefined for the empty graph")
     if not g.is_connected():
         return False, None
-    key = canonical_form(g)
-    cached = _contractible_cache.get(key)
-    if cached is False:
-        return False, None
-
-    # Dead-state memo local to this search: induced subgraphs are
-    # identified by their remaining point sets.
-    dead: set = set()
-    adj = {v: g.neighbors(v) for v in g.points}
-
-    def rim_contractible(live: frozenset, v) -> bool:
-        rim_pts = adj[v] & live
-        if not rim_pts:
-            return False
-        sub = g.induced(rim_pts)
-        return is_contractible(sub)[0]
-
-    def search(live: frozenset) -> Optional[List[int]]:
-        if len(live) == 1:
-            return []
-        if live in dead:
-            return None
-        # Smallest-rim-first keeps the branching factor down.
-        candidates = sorted(
-            (v for v in live if rim_contractible(live, v)),
-            key=lambda v: (len(adj[v] & live), v),
-        )
-        for v in candidates:
-            rest = search(live - {v})
-            if rest is not None:
-                return [v] + rest
-        dead.add(live)
-        return None
-
-    order = search(frozenset(g.points))
+    order = _Verdicts(g).reduction(frozenset(g.points))
     if order is None:
-        _contractible_cache[key] = False
         return False, None
-    _contractible_cache[key] = True
-    terminal = g
-    for v in order:
-        terminal = terminal.delete_point(v)
+    terminal = g.delete_points(order) if order else g
     return True, ReductionTrace(deleted_points=order, terminal=terminal)
 
 
 def is_simple_point(g: DigitalSpace, v) -> bool:
     """A point is simple when its rim is contractible."""
-    rim = g.rim(v)
-    if len(rim.points) == 0:
-        return False
-    return is_contractible(rim)[0]
+    rim = g.neighbors(v)
+    return bool(rim) and _Verdicts(g).contractible(rim)
 
 
 def is_simple_edge(g: DigitalSpace, u, v) -> bool:
     """An edge is simple when its edge rim is contractible."""
-    rim = g.edge_rim(u, v)
-    if len(rim.points) == 0:
-        return False
-    return is_contractible(rim)[0]
+    if not g.has_edge(u, v):
+        raise UnknownEdgeError(f"({u},{v}) is not an edge")
+    rim = g.neighbors(u) & g.neighbors(v)
+    return bool(rim) and _Verdicts(g).contractible(rim)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +224,11 @@ def is_simple_edge(g: DigitalSpace, u, v) -> bool:
 
 def attach_point(g: DigitalSpace, rim_points, new_id) -> DigitalSpace:
     """Glue a new point whose rim is the given contractible subgraph."""
-    sub = g.induced(rim_points)
-    if not is_contractible(sub)[0]:
+    rim = frozenset(rim_points)
+    for p in rim:
+        if p not in g:
+            raise UnknownPointError(f"unknown point {p}")
+    if not rim or not _Verdicts(g).contractible(rim):
         raise ValueError("attachment rim is not contractible")
     return g.add_point(new_id, rim_points)
 
@@ -169,12 +239,6 @@ def attach_edge(g: DigitalSpace, u, v) -> DigitalSpace:
     if not is_simple_edge(result, u, v):
         raise ValueError(f"edge ({u},{v}) would not be simple")
     return result
-
-
-def delete_simple_point(g: DigitalSpace, v) -> DigitalSpace:
-    if not is_simple_point(g, v):
-        raise ValueError(f"point {v} is not simple")
-    return g.delete_point(v)
 
 
 def r_transform(m: DigitalSpace, u, v, new_id) -> DigitalSpace:
@@ -199,17 +263,21 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
     """
     if len(g.points) == 0:
         raise ValueError("cannot reduce the empty graph")
+    verdicts = _Verdicts(g)
+    live = frozenset(g.points)
+    remaining = sorted(live)
     deleted = []
-    current = g
-    while len(current.points) > 1:
-        for v in sorted(current.points):
-            if is_simple_point(current, v):
-                current = current.delete_point(v)
+    while len(remaining) > 1:
+        for v in remaining:
+            if verdicts.is_simple(live, v):
+                live = live - {v}
+                remaining.remove(v)
                 deleted.append(v)
                 break
         else:
             break
-    return current, ReductionTrace(deleted_points=deleted, terminal=current)
+    core = g.delete_points(deleted) if deleted else g
+    return core, ReductionTrace(deleted_points=deleted, terminal=core)
 
 
 # ---------------------------------------------------------------------------
@@ -217,88 +285,56 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
 # ---------------------------------------------------------------------------
 
 def _sphere_verdict(g: DigitalSpace, n: int) -> bool:
-    if n < 0:
-        return False
-    if n == 0:
-        return len(g.points) == 2 and len(g.edges) == 0
-    key = (canonical_form(g), n)
-    cached = _sphere_cache.get(key)
-    if cached is not None:
-        return cached
-    ok = False
-    if g.is_connected() and len(g.points) >= 2:
-        ok = all(_sphere_verdict(g.rim(v), n - 1) for v in g.points)
-        if ok:
-            # The definition quantifies over every point: G - v must be
-            # contractible for each v, not just one sample.
-            ok = all(is_contractible(g.delete_point(v))[0] for v in g.points)
-    _sphere_cache[key] = ok
-    return ok
+    return _Verdicts(g).sphere(frozenset(g.points), n)
+
+
+def _report(g: DigitalSpace, n: int, kind: str) -> ManifoldReport:
+    """Check every rim (and, for a sphere, every G - v), naming the
+    first point in point order that fails."""
+    name = g.name or "space"
+    if not g.is_connected():
+        return ManifoldReport(name, n, kind, False, witness_reason="not connected")
+    verdicts = _Verdicts(g)
+    rim_kind = "surface" if kind == "surface" else "sphere"
+    rim_ok = verdicts.surface if kind == "surface" else verdicts.sphere
+    for v in g.points:
+        if not rim_ok(verdicts.adj[v], n - 1):
+            return ManifoldReport(name, n, kind, False, v,
+                                  f"rim of {v} is not a {n - 1}-{rim_kind}")
+    if kind == "sphere":
+        everything = frozenset(g.points)
+        for v in g.points:
+            if not verdicts.contractible(everything - {v}):
+                return ManifoldReport(name, n, kind, False, v,
+                                      f"deleting {v} leaves a non-contractible graph")
+    return ManifoldReport(name, n, kind, True)
+
+
+def _zero_sphere_report(g: DigitalSpace, kind: str) -> ManifoldReport:
+    ok = len(g.points) == 2 and len(g.edges) == 0
+    return ManifoldReport(g.name or "space", 0, kind, ok,
+                          witness_reason=None if ok else "not two isolated points")
 
 
 def is_n_sphere(g: DigitalSpace, n: int) -> ManifoldReport:
     """Check the recursive digital n-sphere definition, with witness."""
-    name = g.name or "space"
     if n == 0:
-        ok = len(g.points) == 2 and len(g.edges) == 0
-        return ManifoldReport(name, 0, "sphere", ok,
-                              witness_reason=None if ok else "not two isolated points")
-    if not g.is_connected():
-        return ManifoldReport(name, n, "sphere", False, witness_reason="not connected")
-    for v in g.points:
-        if not _sphere_verdict(g.rim(v), n - 1):
-            return ManifoldReport(name, n, "sphere", False, v,
-                                  f"rim of {v} is not a {n - 1}-sphere")
-    for v in g.points:
-        if not is_contractible(g.delete_point(v))[0]:
-            return ManifoldReport(name, n, "sphere", False, v,
-                                  f"deleting {v} leaves a non-contractible graph")
-    return ManifoldReport(name, n, "sphere", True)
+        return _zero_sphere_report(g, "sphere")
+    return _report(g, n, "sphere")
 
 
 def is_n_manifold(g: DigitalSpace, n: int) -> ManifoldReport:
     """Connected graph whose every rim is a digital (n-1)-sphere."""
-    name = g.name or "space"
     if n < 1:
         raise ValueError("manifold dimension must be >= 1")
-    if not g.is_connected():
-        return ManifoldReport(name, n, "manifold", False, witness_reason="not connected")
-    for v in g.points:
-        if not _sphere_verdict(g.rim(v), n - 1):
-            return ManifoldReport(name, n, "manifold", False, v,
-                                  f"rim of {v} is not a {n - 1}-sphere")
-    return ManifoldReport(name, n, "manifold", True)
-
-
-def _surface_verdict(g: DigitalSpace, n: int) -> bool:
-    if n < 0:
-        return False
-    if n == 0:
-        return len(g.points) == 2 and len(g.edges) == 0
-    key = (canonical_form(g), n)
-    cached = _surface_cache.get(key)
-    if cached is not None:
-        return cached
-    ok = (g.is_connected() and len(g.points) > 0
-          and all(_surface_verdict(g.rim(v), n - 1) for v in g.points))
-    _surface_cache[key] = ok
-    return ok
+    return _report(g, n, "manifold")
 
 
 def is_n_surface(g: DigitalSpace, n: int) -> ManifoldReport:
     """Recursive surface check; the n=0 base case is the 0-sphere."""
-    name = g.name or "space"
     if n == 0:
-        ok = len(g.points) == 2 and len(g.edges) == 0
-        return ManifoldReport(name, 0, "surface", ok,
-                              witness_reason=None if ok else "not two isolated points")
-    if not g.is_connected():
-        return ManifoldReport(name, n, "surface", False, witness_reason="not connected")
-    for v in g.points:
-        if not _surface_verdict(g.rim(v), n - 1):
-            return ManifoldReport(name, n, "surface", False, v,
-                                  f"rim of {v} is not a {n - 1}-surface")
-    return ManifoldReport(name, n, "surface", True)
+        return _zero_sphere_report(g, "surface")
+    return _report(g, n, "surface")
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,15 @@ class TestInvariantsCommand:
         assert d["betti"] == [1, 1, 0]
         assert d["torsion"][1] == [2]
 
+    def test_clique_above_max_dim_is_input_error(self, runner, tmp_path):
+        pts = list(range(1, 9))
+        k8 = {"points": pts, "edges": [[i, j] for i in pts for j in pts if i < j]}
+        path = tmp_path / "k8.json"
+        path.write_text(json.dumps(k8))
+        result = runner.invoke(main, ["invariants", str(path)])
+        assert result.exit_code == 2
+        assert "max_dim" in result.output
+
 
 class TestTransformCommand:
     def test_r_transform(self, runner):

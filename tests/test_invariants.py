@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,3 +155,40 @@ class TestHomology:
     def test_json_shape(self, klein):
         d = homology(klein).to_json_dict()
         assert set(d) == {"chi", "betti", "torsion"}
+
+
+def complete_graph(k):
+    pts = list(range(1, k + 1))
+    return DigitalSpace(pts, [(i, j) for i in pts for j in pts if i < j])
+
+
+class TestCliqueTruncation:
+    """A complete graph is a simplex: acyclic, chi 1.  Its clique complex
+    reaches past the default max_dim from K8 on."""
+
+    def test_k7_within_default(self):
+        h = homology(complete_graph(7))
+        assert h.euler_characteristic == 1
+        assert h.betti == [1, 0, 0, 0, 0, 0, 0]
+        assert not any(h.torsion)
+
+    def test_k8_refused_at_default(self):
+        with pytest.raises(ValueError, match="max_dim=6"):
+            homology(complete_graph(8))
+        with pytest.raises(ValueError, match="max_dim=6"):
+            euler_characteristic(complete_graph(8))
+
+    def test_k8_with_room(self):
+        h = homology(complete_graph(8), max_dim=7)
+        assert h.euler_characteristic == 1
+        assert h.betti == [1] + [0] * 7
+
+    def test_k9_refused_at_default(self):
+        with pytest.raises(ValueError, match="max_dim=6"):
+            homology(complete_graph(9))
+
+    def test_k9_with_room(self):
+        h = homology(complete_graph(9), max_dim=8)
+        assert h.euler_characteristic == 1
+        assert h.betti == [1] + [0] * 8
+        assert not any(h.torsion)

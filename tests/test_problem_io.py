@@ -140,6 +140,56 @@ class TestFromText:
             problem_from_json("[1, 2]")
 
 
+class TestRejectsBadNumbers:
+    """Each malformed number is refused with its field named."""
+
+    @pytest.mark.parametrize("steps", [-5, 2.7, "5", True, float("inf")])
+    def test_steps(self, steps):
+        with pytest.raises(ProblemFormatError, match="steps"):
+            problem_from_json_dict(klein_problem_dict(steps=steps))
+
+    def test_integral_float_steps_accepted(self):
+        assert problem_from_json_dict(klein_problem_dict(steps=3.0)).steps == 3
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_tol(self, tol):
+        with pytest.raises(ProblemFormatError, match="tol"):
+            problem_from_json_dict(klein_problem_dict(tol=tol))
+
+    def test_tol_from_json_text(self):
+        # json.dumps writes the NaN literal that json.loads reads back.
+        text = json.dumps(dict(klein_problem_dict(), tol=float("nan")))
+        with pytest.raises(ProblemFormatError, match="tol"):
+            problem_from_json(text)
+
+    @pytest.mark.parametrize("coefficients, field", [
+        ({"entries": [[1, 1, float("inf")]]}, "coefficients.entries"),
+        ({"uniform_offdiag": float("nan"), "diag": 0.4}, "coefficients.uniform_offdiag"),
+        ({"uniform_offdiag": 0.1, "diag": float("-inf")}, "coefficients.diag"),
+        ({"uniform_offdiag": 0.1,
+          "diag_map": {str(p): float("nan") for p in range(1, 17)}},
+         "coefficients.diag_map"),
+    ])
+    def test_coefficient(self, coefficients, field):
+        with pytest.raises(ProblemFormatError, match=field):
+            problem_from_json_dict(klein_problem_dict(coefficients=coefficients))
+
+    @pytest.mark.parametrize("initial, field", [
+        ([float("nan")] + [0.0] * 15, "initial"),
+        ({"point": 1, "value": float("inf")}, "initial.value"),
+        ({"point": 1, "value": 1.0, "rest": float("nan")}, "initial.rest"),
+        ({"point": 1}, "initial.value"),
+    ])
+    def test_initial(self, initial, field):
+        with pytest.raises(ProblemFormatError, match=field):
+            problem_from_json_dict(klein_problem_dict(initial=initial))
+
+    def test_boundary_value(self):
+        with pytest.raises(ProblemFormatError, match="boundary.values"):
+            problem_from_json_dict(klein_problem_dict(
+                boundary={"points": [1], "values": [float("inf")]}))
+
+
 class TestTrajectoryCsv:
     def test_header_and_rows(self):
         p = problem_from_json_dict(klein_problem_dict(steps=3, tol=0.0))

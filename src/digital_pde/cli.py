@@ -18,7 +18,7 @@ import numpy as np
 from . import catalog, experiments
 from .graph_core import DigitalSpace
 from .invariants import homology
-from .problem_io import ProblemFormatError, problem_from_json, trajectory_csv
+from .problem_io import ProblemFormatError, _finite, _steps, problem_from_json, trajectory_csv
 from .solver import Problem, bind, solve_bvp, solve_ivp
 from .svgplot import line_chart
 from .topology import homotopy_reduce, is_n_manifold, is_n_sphere, is_n_surface, r_transform
@@ -194,12 +194,12 @@ def solve(problem_file, out, plot, points, steps, tol):
         text = f.read()
     try:
         problem = problem_from_json(text)
+        if steps is not None:
+            problem.steps = _steps(steps, "--steps")
+        if tol is not None:
+            problem.tol = _finite(tol, "--tol")
     except ProblemFormatError as exc:
         _fail_input(str(exc))
-    if steps is not None:
-        problem.steps = steps
-    if tol is not None:
-        problem.tol = tol
     pts = _parse_points(problem.space, points)
     trajectory = solve_bvp(problem) if problem.has_boundary else solve_ivp(problem)
     _write_outputs(trajectory, problem.space, out, plot, pts)

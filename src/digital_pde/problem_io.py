@@ -48,11 +48,11 @@ def _finite(value, name: str) -> float:
     return x
 
 
-def _steps(value) -> int:
+def _steps(value, name: str) -> int:
     integral = ((isinstance(value, int) and not isinstance(value, bool))
                 or (isinstance(value, float) and value.is_integer()))
     if not integral or value < 0:
-        raise ProblemFormatError(f"steps: expected a nonnegative integer, got {value!r}")
+        raise ProblemFormatError(f"{name}: expected a nonnegative integer, got {value!r}")
     return int(value)
 
 
@@ -146,7 +146,7 @@ def problem_from_json_dict(d: dict) -> Problem:
         initial=initial,
         boundary_points=boundary_points,
         boundary_values=boundary_values,
-        steps=_steps(d.get("steps", 2000)),
+        steps=_steps(d.get("steps", 2000), "steps"),
         tol=_finite(d.get("tol", 1e-10), "tol"),
     )
 

@@ -76,11 +76,11 @@ def bind(space: DigitalSpace, matrix: np.ndarray,
     if mat.shape != (n, n):
         raise ValueError(f"matrix shape {mat.shape} does not match {n} points")
     index = {p: i for i, p in enumerate(space.points)}
-    for i, p in enumerate(space.points):
-        for j, k in enumerate(space.points):
-            if i != j and mat[i, j] != 0.0 and not space.has_edge(p, k):
-                raise SupportError(
-                    f"coefficient ({p},{k}) is nonzero but the points are not adjacent")
+    points = space.points
+    for i, j in zip(*np.nonzero(mat)):
+        if i != j and not space.has_edge(points[i], points[j]):
+            raise SupportError(f"coefficient ({points[i]},{points[j]}) "
+                               "is nonzero but the points are not adjacent")
     return CoefficientMatrix(space=space, matrix=mat, rule=rule, index=index)
 
 
@@ -244,40 +244,31 @@ def stability_bound_check(c: CoefficientMatrix, n: Optional[int] = None,
     return all(float(np.abs(c.at(t)).max()) < bound for t in steps)
 
 
-def _support_adjacency(mat: np.ndarray) -> np.ndarray:
-    return (mat != 0).astype(np.int8)
-
-
 def is_irreducible(c: CoefficientMatrix) -> bool:
     """The directed support graph is strongly connected."""
     from scipy.sparse.csgraph import connected_components
 
-    n = c.n
-    if n == 1:
-        return True
-    mat = _support_adjacency(c.matrix)
-    offdiag = mat.copy()
-    np.fill_diagonal(offdiag, 0)
-    if not offdiag.any():
-        return False
-    ncomp, _ = connected_components(mat, directed=True, connection="strong")
+    ncomp, _ = connected_components(c.matrix != 0, directed=True, connection="strong")
     return ncomp == 1
 
 
 def is_primitive(c: CoefficientMatrix) -> bool:
-    """Irreducible with aperiodic support: some power of the support
-    pattern is entrywise positive (checked up to the Wielandt bound)."""
+    """Irreducible with period 1.
+
+    With ``level`` the breadth-first distance from point 0 along the
+    support arcs i -> j (C[i,j] != 0), every closed walk has a length
+    that is a sum of the terms level[i] + 1 - level[j] over its arcs, and
+    the gcd of those terms over all arcs is the period of the support
+    graph.  A nonzero diagonal entry gives a term of 1.
+    """
+    from scipy.sparse.csgraph import shortest_path
+
     if not is_irreducible(c):
         return False
-    n = c.n
-    pattern = _support_adjacency(c.matrix).astype(np.int64)
-    power = pattern.copy()
-    limit = (n - 1) ** 2 + 1
-    for _ in range(limit):
-        if power.all():
-            return True
-        power = np.minimum(power @ pattern, 1)
-    return bool(power.all())
+    support = c.matrix != 0
+    level = shortest_path(support, unweighted=True, indices=0).astype(np.int64)
+    rows, cols = np.nonzero(support)
+    return int(np.gcd.reduce(level[rows] + 1 - level[cols])) == 1
 
 
 @dataclass
@@ -286,48 +277,43 @@ class SpectralReport:
     primitive: bool
     limit: Optional[np.ndarray]
     stationary_column: Optional[np.ndarray]
-    iterations: int
     residual: float
 
 
-def limit_matrix(c: CoefficientMatrix, tol: float = 1e-12,
-                 max_iter: int = 200) -> SpectralReport:
-    """Limit of C^t for a constant diffusion matrix, by repeated squaring.
+def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
+    """Limit of C^t for a constant diffusion matrix.
 
-    When the support is primitive, all columns of the limit agree and
-    the common column is the stationary distribution.
+    C^t converges to a matrix with equal columns exactly when C is
+    primitive; otherwise (reducible, or irreducible with period > 1)
+    no limit is reported and ``limit`` and ``stationary_column`` are
+    None.  The stationary column solves C x = x with sum(x) = 1, and
+    ``residual`` is |C x - x| in the max norm (inf when there is no
+    limit).
     """
     if c.time_dependent:
         raise ValueError("limit_matrix supports constant coefficients only")
     if not is_diffusion(c):
         raise ValueError("limit_matrix requires a diffusion matrix")
     irreducible = is_irreducible(c)
-    primitive = is_primitive(c)
-    power = c.matrix.copy()
-    iterations = 0
-    residual = float("inf")
-    for iterations in range(1, max_iter + 1):
-        nxt = power @ power
-        residual = float(np.abs(nxt - power).max())
-        power = nxt
-        if residual < tol:
-            break
-    if residual >= tol:
-        return SpectralReport(irreducible, False, None, None, iterations, residual)
-    column = power.mean(axis=1)
-    col_spread = float(np.abs(power - column[:, None]).max())
-    if primitive and col_spread > max(tol * 10, 1e-9):
+    if not is_primitive(c):
+        return SpectralReport(irreducible, False, None, None, float("inf"))
+    n = c.n
+    system = c.matrix - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    column = np.linalg.solve(system, rhs)
+    residual = float(np.abs(c.matrix @ column - column).max())
+    if residual > 1e-9:
         raise AssertionError(
-            f"primitive matrix converged to unequal columns (spread {col_spread:.3g})")
-    return SpectralReport(irreducible, primitive, power,
-                          column if primitive else None, iterations, residual)
+            f"stationary column of a primitive matrix is not fixed (residual {residual:.3g})")
+    return SpectralReport(irreducible, True, np.outer(column, np.ones(n)), column, residual)
 
 
-def stationary_solution(c: CoefficientMatrix, f0: np.ndarray,
-                        tol: float = 1e-12) -> FieldState:
+def stationary_solution(c: CoefficientMatrix, f0: np.ndarray) -> FieldState:
     """f_inf = S * stationary column, with S the initial total mass."""
-    report = limit_matrix(c, tol=tol)
-    if not report.primitive or report.stationary_column is None:
+    report = limit_matrix(c)
+    if not report.primitive:
         raise ValueError(
             "coefficients are not primitive; inspect limit_matrix diagnostics")
     total = float(np.asarray(f0, dtype=float).sum())

@@ -292,6 +292,8 @@ def _report(g: DigitalSpace, n: int, kind: str) -> ManifoldReport:
     """Check every rim (and, for a sphere, every G - v), naming the
     first point in point order that fails."""
     name = g.name or "space"
+    if not g.points:
+        return ManifoldReport(name, n, kind, False, witness_reason="empty graph")
     if not g.is_connected():
         return ManifoldReport(name, n, kind, False, witness_reason="not connected")
     verdicts = _Verdicts(g)

@@ -1,0 +1,58 @@
+"""Reference oracle for the solver's support-graph verdicts and limit.
+
+The matrix-power definitions, applied directly: a support is primitive
+when some power of its 0/1 pattern is entrywise positive, checked for
+every power up to the Wielandt bound (n - 1)^2 + 1, and the limit of
+C^t is found by squaring C until two squares agree.  Dense and slow;
+the tests compare ``digital_pde.solver`` against it on small inputs.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+from scipy.sparse.csgraph import connected_components
+
+
+def is_irreducible(mat: np.ndarray) -> bool:
+    """The directed support graph is strongly connected."""
+    n = mat.shape[0]
+    if n == 1:
+        return True
+    pattern = (mat != 0).astype(np.int8)
+    offdiag = pattern.copy()
+    np.fill_diagonal(offdiag, 0)
+    if not offdiag.any():
+        return False
+    ncomp, _ = connected_components(pattern, directed=True, connection="strong")
+    return ncomp == 1
+
+
+def is_primitive(mat: np.ndarray) -> bool:
+    """Irreducible, and some power of the support pattern up to the
+    Wielandt bound is entrywise positive."""
+    if not is_irreducible(mat):
+        return False
+    n = mat.shape[0]
+    pattern = (mat != 0).astype(np.int64)
+    power = pattern.copy()
+    for _ in range((n - 1) ** 2 + 1):
+        if power.all():
+            return True
+        power = np.minimum(power @ pattern, 1)
+    return bool(power.all())
+
+
+def limit(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 200) -> Optional[np.ndarray]:
+    """C^(2^k) for the first k at which two successive squares agree
+    within ``tol``, or None when that does not happen in ``max_iter``
+    squarings.  Only meaningful when C^t converges, i.e. C is primitive."""
+    power = np.array(mat, dtype=float)
+    for _ in range(max_iter):
+        nxt = power @ power
+        residual = float(np.abs(nxt - power).max())
+        power = nxt
+        if residual < tol:
+            return power
+    return None

@@ -163,6 +163,13 @@ class TestSolveCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["steps"] == 3
 
+    @pytest.mark.parametrize("option,value", [("--steps", "-5"), ("--tol", "nan")])
+    def test_bad_override_exit_2(self, runner, tmp_path, option, value):
+        problem = klein_problem(tmp_path)
+        result = runner.invoke(main, ["solve", problem, option, value])
+        assert result.exit_code == 2
+        assert option in result.output
+
 
 class TestExperimentCommand:
     def test_klein_experiment(self, runner, tmp_path):

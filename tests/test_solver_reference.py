@@ -1,0 +1,102 @@
+"""Differential tests: the solver's support-graph verdicts and limit
+against the matrix-power oracle in ``reference_solver``."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from digital_pde import catalog
+from digital_pde.graph_core import DigitalSpace, cycle_space
+from digital_pde.solver import bind, is_irreducible, is_primitive, limit_matrix
+
+import reference_solver as ref
+
+
+def complete_space(n):
+    return DigitalSpace(list(range(1, n + 1)),
+                        [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+@st.composite
+def supports(draw, max_points=8):
+    """A random 0/1 support on n <= 8 points; half of the draws have a
+    zero diagonal, so that periodic supports come up often."""
+    n = draw(st.integers(1, max_points))
+    cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    mat = np.array(cells, dtype=float).reshape(n, n)
+    if draw(st.booleans()):
+        np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+@settings(max_examples=500, deadline=None)
+@given(supports())
+def test_verdicts_match_reference(mat):
+    c = bind(complete_space(len(mat)), mat)
+    assert is_irreducible(c) == ref.is_irreducible(mat)
+    assert is_primitive(c) == ref.is_primitive(mat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports())
+def test_limit_matches_reference_on_random_supports(mat):
+    assume(mat.any(axis=0).all())
+    mat = mat / mat.sum(axis=0)
+    report = limit_matrix(bind(complete_space(len(mat)), mat))
+    assert report.primitive == ref.is_primitive(mat)
+    if report.primitive:
+        np.testing.assert_allclose(report.limit, ref.limit(mat), rtol=0, atol=1e-12)
+    else:
+        assert report.limit is None and report.stationary_column is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["torus_16", "klein_bottle_16", "projective_plane_11",
+                        "moebius_12", "sphere2_8", "s2_min"]),
+       st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_limit_matches_reference_on_catalog_diffusions(name, seed, zero_diagonal):
+    """Random column-stochastic coefficients on the ball support, with
+    some diagonal entries zero when ``zero_diagonal`` is drawn."""
+    space = catalog.space(name)
+    rng = np.random.default_rng(seed)
+    index = {p: i for i, p in enumerate(space.points)}
+    mat = np.zeros((len(space.points), len(space.points)))
+    for j, k in enumerate(space.points):
+        targets = [index[p] for p in space.neighbors(k)]
+        if not (zero_diagonal and rng.random() < 0.5):
+            targets.append(j)
+        weights = rng.random(len(targets)) + 1e-3
+        mat[targets, j] = weights / weights.sum()
+    assume(ref.is_primitive(mat))
+    report = limit_matrix(bind(space, mat))
+    assert report.primitive
+    np.testing.assert_allclose(report.limit, ref.limit(mat), rtol=0, atol=1e-12)
+
+
+def rotation(n):
+    mat = np.zeros((n, n))
+    mat[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize("space,mat", [
+    (DigitalSpace([1, 2], [(1, 2)]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+    (cycle_space(4), rotation(4)),
+    (cycle_space(4), (rotation(4) + rotation(4).T) / 2),
+], ids=["flip", "directed-4-rotation", "bipartite-4-cycle"])
+def test_periodic_diffusion_has_no_limit(space, mat):
+    # C^t cycles through the period and never converges; squaring C
+    # reaches a fixed point anyway, which used to be reported as the limit.
+    report = limit_matrix(bind(space, mat))
+    assert report.irreducible
+    assert not report.primitive
+    assert report.limit is None and report.stationary_column is None
+
+
+def test_one_point():
+    g = DigitalSpace([1], [])
+    assert is_irreducible(bind(g, np.zeros((1, 1))))
+    assert not is_primitive(bind(g, np.zeros((1, 1))))
+    assert is_primitive(bind(g, np.ones((1, 1))))
+    np.testing.assert_array_equal(limit_matrix(bind(g, np.ones((1, 1)))).limit, [[1.0]])

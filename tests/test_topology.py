@@ -161,6 +161,13 @@ class TestManifoldSurface:
     def test_s0_is_0_surface(self, s0):
         assert is_n_surface(s0, 0).ok
 
+    @pytest.mark.parametrize("check", [is_n_sphere, is_n_manifold, is_n_surface])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_graph_refused(self, check, n):
+        report = check(DigitalSpace([], []), n)
+        assert not report.ok
+        assert report.witness_reason == "empty graph"
+
 
 class TestRTransform:
     def test_octahedron_to_7_point_sphere(self, octahedron):

@@ -8,7 +8,7 @@ diffusion/heat dynamics on them, including directed networks.
 
 __version__ = "0.1.0"
 
-from .graph_core import DigitalSpace, Subspace, join
+from .graph_core import DigitalSpace, join
 from .invariants import HomologyProfile, euler_characteristic, homology, smith_normal_form
 from .solver import Problem, Trajectory, bind, solve_bvp, solve_ivp
 from .topology import (
@@ -26,7 +26,7 @@ from .topology import (
 )
 
 __all__ = [
-    "DigitalSpace", "Subspace", "join",
+    "DigitalSpace", "join",
     "HomologyProfile", "euler_characteristic", "homology", "smith_normal_form",
     "Problem", "Trajectory", "bind", "solve_bvp", "solve_ivp",
     "ManifoldReport", "ReductionTrace", "homotopy_reduce", "is_contractible",

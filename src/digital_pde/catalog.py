@@ -18,12 +18,7 @@ from typing import Callable, Dict, List, Optional
 
 from .graph_core import DigitalSpace
 from .invariants import HomologyProfile, homology
-from .topology import (
-    _sphere_verdict,
-    is_n_manifold,
-    is_n_sphere,
-    minimal_sphere,
-)
+from .topology import is_n_manifold, is_n_sphere, minimal_sphere
 
 DATA_ENV_VAR = "DIGITAL_PDE_DATA"
 _DEFAULT_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -228,7 +223,7 @@ def verify_entry(e: CatalogEntry) -> None:
                 f"{report.witness_point}: {report.witness_reason}")
     elif e.kind == "manifold-with-boundary":
         for p in e.interior_points or []:
-            if not _sphere_verdict(g.rim(p), e.dimension - 1):
+            if not is_n_sphere(g.rim(p), e.dimension - 1).ok:
                 raise CatalogVerificationError(
                     f"{e.name}: interior point {p} rim is not a "
                     f"{e.dimension - 1}-sphere")

@@ -103,7 +103,10 @@ def verify(source, dim, kind):
     g = _load_graph(source)
     check = {"sphere": is_n_sphere, "manifold": is_n_manifold,
              "surface": is_n_surface}[kind]
-    report = check(g, dim)
+    try:
+        report = check(g, dim)
+    except ValueError as exc:
+        _fail_input(str(exc))
     click.echo(json.dumps(report.to_json_dict(), indent=2))
     sys.exit(0 if report.ok else EXIT_FAILURE)
 

@@ -4,7 +4,7 @@ A digital space is just a labeled simple graph; adjacency encodes
 nearness.  Everything downstream (contractibility, manifold checks,
 the diffusion solver) consumes the primitives defined here: the rim
 O(v) of a point, the ball U(v), the rim O(uv) of an edge, joins and
-induced subspaces.
+induced subgraphs.
 
 Graphs are immutable values.  Every transformation returns a new
 graph, so results can be shared and memoized safely.
@@ -101,28 +101,28 @@ class DigitalSpace:
 
     # -- digital-topology primitives -------------------------------------
 
-    def rim(self, v) -> "Subspace":
+    def rim(self, v) -> "DigitalSpace":
         """Induced subgraph on the neighbors of v, excluding v itself."""
         return self.induced(self.neighbors(v))
 
-    def ball(self, v) -> "Subspace":
+    def ball(self, v) -> "DigitalSpace":
         """The rim of v together with v and its incident edges."""
         return self.induced(self.neighbors(v) | {v})
 
-    def edge_rim(self, u, v) -> "Subspace":
+    def edge_rim(self, u, v) -> "DigitalSpace":
         """Induced subgraph on the common neighbors of the edge (u, v)."""
         if not self.has_edge(u, v):
             raise UnknownEdgeError(f"({u},{v}) is not an edge")
         return self.induced(self.neighbors(u) & self.neighbors(v))
 
-    def induced(self, subset: Iterable[int]) -> "Subspace":
+    def induced(self, subset: Iterable[int]) -> "DigitalSpace":
         sub = set(subset)
         for p in sub:
             if p not in self._adj:
                 raise UnknownPointError(f"unknown point {p}")
         pts = tuple(p for p in self.points if p in sub)
         edges = [e for e in self.edges if e[0] in sub and e[1] in sub]
-        return Subspace(self, pts, edges)
+        return DigitalSpace(pts, edges)
 
     # -- transformations (always return new values) ----------------------
 
@@ -209,20 +209,6 @@ class DigitalSpace:
     @classmethod
     def from_json(cls, text: str) -> "DigitalSpace":
         return cls.from_json_dict(json.loads(text))
-
-
-class Subspace(DigitalSpace):
-    """An induced subgraph, remembering which space it came from."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, parent: DigitalSpace, points, edges):
-        super().__init__(points, edges, name=None)
-        object.__setattr__(self, "parent", parent)
-
-    def detach(self) -> DigitalSpace:
-        """Forget the parent and return a plain digital space."""
-        return DigitalSpace(self.points, self.edges)
 
 
 def join(g: DigitalSpace, h: DigitalSpace, name: Optional[str] = None) -> DigitalSpace:

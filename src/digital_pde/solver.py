@@ -43,13 +43,43 @@ class CoefficientMatrix:
     """Coefficients bound to a space, constant or time-dependent.
 
     ``matrix`` is the t=0 matrix; ``rule`` (if given) produces C(t)
-    for any step and must respect the same support.
+    for any step.  Both are checked against the balls of ``space``:
+    ``matrix`` here, every C(t) when ``at`` returns it.  ``index`` maps
+    a point to its row.
     """
 
     space: DigitalSpace
     matrix: np.ndarray
     rule: Optional[MatrixRule] = None
-    index: Dict[int, int] = field(default_factory=dict)
+    index: Dict[int, int] = field(init=False, repr=False)
+    _ball: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = self.index = {p: i for i, p in enumerate(self.space.points)}
+        n = len(index)
+        # Row-major offsets i * n + j of the entries on balls (i == j or
+        # points i and j adjacent), sorted.
+        keys = [i * (n + 1) for i in range(n)]
+        for a, b in self.space.edges:
+            i, j = index[a], index[b]
+            keys += (i * n + j, j * n + i)
+        self._ball = np.sort(np.array(keys, dtype=np.int64))
+        self._check_support(self.matrix)
+
+    def _check_support(self, matrix: np.ndarray) -> None:
+        """Refuse a matrix of the wrong shape, or one that is nonzero off
+        the balls (naming the first such pair, row-major)."""
+        n, ball = self.n, self._ball
+        if np.shape(matrix) != (n, n):
+            raise ValueError(f"matrix shape {np.shape(matrix)} does not match {n} points")
+        keys = np.flatnonzero(matrix)
+        # A key is on a ball when the sorted ``ball`` holds it where it would go.
+        outside = keys[ball.take(np.searchsorted(ball, keys), mode="clip") != keys]
+        if len(outside):
+            i, j = divmod(int(outside[0]), n)
+            points = self.space.points
+            raise SupportError(f"coefficient ({points[i]},{points[j]}) "
+                               "is nonzero but the points are not adjacent")
 
     @property
     def n(self) -> int:
@@ -60,7 +90,11 @@ class CoefficientMatrix:
         return self.rule is not None
 
     def at(self, t: int) -> np.ndarray:
-        return self.matrix if self.rule is None else self.rule(t)
+        if self.rule is None:
+            return self.matrix
+        mat = self.rule(t)
+        self._check_support(mat)
+        return mat
 
 
 def bind(space: DigitalSpace, matrix: np.ndarray,
@@ -71,17 +105,7 @@ def bind(space: DigitalSpace, matrix: np.ndarray,
     support is fine (C[p,k] != C[k,p]); support outside the ball
     structure is rejected naming the offending pair.
     """
-    n = len(space.points)
-    mat = np.asarray(matrix, dtype=float)
-    if mat.shape != (n, n):
-        raise ValueError(f"matrix shape {mat.shape} does not match {n} points")
-    index = {p: i for i, p in enumerate(space.points)}
-    points = space.points
-    for i, j in zip(*np.nonzero(mat)):
-        if i != j and not space.has_edge(points[i], points[j]):
-            raise SupportError(f"coefficient ({points[i]},{points[j]}) "
-                               "is nonzero but the points are not adjacent")
-    return CoefficientMatrix(space=space, matrix=mat, rule=rule, index=index)
+    return CoefficientMatrix(space=space, matrix=np.asarray(matrix, dtype=float), rule=rule)
 
 
 def uniform_coefficients(space: DigitalSpace, offdiag: float,
@@ -133,6 +157,11 @@ class Problem:
     blowup_factor: float = DEFAULT_BLOWUP_FACTOR
 
     def __post_init__(self):
+        bound = self.coefficients.space
+        if bound is not self.space and (bound.points != self.space.points
+                                        or bound.edges != self.space.edges):
+            raise ValueError("coefficients are bound to a different space "
+                             "(points, their order and edges must match)")
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (len(self.space.points),):
             raise ValueError("initial values length must equal point count")

@@ -5,10 +5,14 @@ contractible, and so is any graph that can be reduced to one point by
 sequentially deleting simple points (a point is simple when its rim is
 contractible; an edge is simple when its edge rim is contractible).
 
-On top of that sit the recursive recognizers: a digital n-sphere is a
+On top of that sits one recursion over rims: a digital n-sphere is a
 connected graph all of whose rims are (n-1)-spheres and which stays
 contractible after deleting any single point; an n-manifold only needs
-the rim condition.  A 0-sphere is two isolated points.
+the rim condition, and an n-surface asks its rims to be (n-1)-surfaces.
+A 0-sphere (and a 0-surface) is two isolated points.  The same
+recursion gives the verdict of an inner level and the witness of the
+top level: it returns the first point, in point order, that breaks the
+definition, with the reason.
 
 Every graph these checks visit (rims, rims of rims, G - v, the
 intermediate graphs of a deletion search) is an induced subgraph of the
@@ -27,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .graph_core import DigitalSpace, Subspace, UnknownEdgeError, UnknownPointError, join
+from .graph_core import DigitalSpace, UnknownEdgeError, UnknownPointError, join
 
 
 def clear_caches() -> None:
@@ -46,12 +50,15 @@ class ReductionTrace:
     terminal: Optional[DigitalSpace] = None
 
     def replay(self, start: DigitalSpace) -> DigitalSpace:
-        g = start
+        verdicts = _Verdicts(start)
+        live = frozenset(start.points)
         for v in self.deleted_points:
-            if not is_simple_point(g, v):
+            if v not in live:
+                raise UnknownPointError(f"unknown point {v}")
+            if not verdicts.is_simple(live, v):
                 raise ValueError(f"point {v} was not simple at its deletion step")
-            g = g.delete_point(v)
-        return g
+            live = live - {v}
+        return start.delete_points(self.deleted_points) if self.deleted_points else start
 
 
 @dataclass
@@ -77,6 +84,9 @@ class ManifoldReport:
         }
 
 
+Failure = Tuple[Optional[int], str]  # (point, reason)
+
+
 class _Verdicts:
     """Memoized verdicts on the induced subgraphs of one graph.
 
@@ -87,9 +97,9 @@ class _Verdicts:
 
     def __init__(self, g: DigitalSpace):
         self.adj = {v: g.neighbors(v) for v in g.points}
+        self.position = {v: i for i, v in enumerate(g.points)}
         self._contractible: Dict[frozenset, bool] = {}
-        self._sphere: Dict[Tuple[frozenset, int], bool] = {}
-        self._surface: Dict[Tuple[frozenset, int], bool] = {}
+        self._failure: Dict[Tuple[frozenset, int, str], Optional[Failure]] = {}
 
     def connected(self, pts: frozenset) -> bool:
         adj = self.adj
@@ -149,37 +159,39 @@ class _Verdicts:
             memo[live] = True
         return order
 
-    def _two_isolated(self, pts: frozenset) -> bool:
-        return len(pts) == 2 and not any(self.adj[v] & pts for v in pts)
-
-    def sphere(self, pts: frozenset, n: int) -> bool:
-        """Digital n-sphere verdict; ``pts`` may be empty."""
-        if n <= 0:
-            return n == 0 and self._two_isolated(pts)
-        key = (pts, n)
-        known = self._sphere.get(key)
-        if known is None:
-            adj = self.adj
-            # The definition quantifies over every point: S - v must be
-            # contractible for each v, not just one sample.
-            known = (len(pts) >= 2 and self.connected(pts)
-                     and all(self.sphere(adj[v] & pts, n - 1) for v in pts)
-                     and all(self.contractible(pts - {v}) for v in pts))
-            self._sphere[key] = known
-        return known
-
-    def surface(self, pts: frozenset, n: int) -> bool:
-        """Digital n-surface verdict; ``pts`` may be empty."""
-        if n <= 0:
-            return n == 0 and self._two_isolated(pts)
-        key = (pts, n)
-        known = self._surface.get(key)
-        if known is None:
-            adj = self.adj
-            known = (len(pts) > 0 and self.connected(pts)
-                     and all(self.surface(adj[v] & pts, n - 1) for v in pts))
-            self._surface[key] = known
-        return known
+    def failure(self, pts: frozenset, n: int, kind: str) -> Optional[Failure]:
+        """None when ``pts`` is a digital n-``kind`` (n >= 0), else the
+        first ``(point, reason)`` breaking the definition; ``pts`` may be
+        empty.  The point is None for a failure of the whole set."""
+        key = (pts, n, kind)
+        if key in self._failure:
+            return self._failure[key]
+        adj = self.adj
+        found = None
+        if n == 0:
+            if len(pts) != 2 or any(adj[v] & pts for v in pts):
+                found = None, "not two isolated points"
+        elif not pts:
+            found = None, "empty graph"
+        elif not self.connected(pts):
+            found = None, "not connected"
+        else:
+            rim_kind = "surface" if kind == "surface" else "sphere"
+            ordered = sorted(pts, key=self.position.__getitem__)
+            for v in ordered:
+                if self.failure(adj[v] & pts, n - 1, rim_kind) is not None:
+                    found = v, f"rim of {v} is not a {n - 1}-{rim_kind}"
+                    break
+            else:
+                # The definition quantifies over every point: S - v must
+                # be contractible for each v, not just one sample.
+                if kind == "sphere":
+                    for v in ordered:
+                        if not self.contractible(pts - {v}):
+                            found = v, f"deleting {v} leaves a non-contractible graph"
+                            break
+        self._failure[key] = found
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -284,58 +296,29 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
 # spheres, manifolds, surfaces
 # ---------------------------------------------------------------------------
 
-def _sphere_verdict(g: DigitalSpace, n: int) -> bool:
-    return _Verdicts(g).sphere(frozenset(g.points), n)
-
-
 def _report(g: DigitalSpace, n: int, kind: str) -> ManifoldReport:
-    """Check every rim (and, for a sphere, every G - v), naming the
-    first point in point order that fails."""
+    least = 1 if kind == "manifold" else 0
+    if n < least:
+        raise ValueError(f"{kind} dimension must be >= {least}")
+    found = _Verdicts(g).failure(frozenset(g.points), n, kind)
     name = g.name or "space"
-    if not g.points:
-        return ManifoldReport(name, n, kind, False, witness_reason="empty graph")
-    if not g.is_connected():
-        return ManifoldReport(name, n, kind, False, witness_reason="not connected")
-    verdicts = _Verdicts(g)
-    rim_kind = "surface" if kind == "surface" else "sphere"
-    rim_ok = verdicts.surface if kind == "surface" else verdicts.sphere
-    for v in g.points:
-        if not rim_ok(verdicts.adj[v], n - 1):
-            return ManifoldReport(name, n, kind, False, v,
-                                  f"rim of {v} is not a {n - 1}-{rim_kind}")
-    if kind == "sphere":
-        everything = frozenset(g.points)
-        for v in g.points:
-            if not verdicts.contractible(everything - {v}):
-                return ManifoldReport(name, n, kind, False, v,
-                                      f"deleting {v} leaves a non-contractible graph")
-    return ManifoldReport(name, n, kind, True)
-
-
-def _zero_sphere_report(g: DigitalSpace, kind: str) -> ManifoldReport:
-    ok = len(g.points) == 2 and len(g.edges) == 0
-    return ManifoldReport(g.name or "space", 0, kind, ok,
-                          witness_reason=None if ok else "not two isolated points")
+    if found is None:
+        return ManifoldReport(name, n, kind, True)
+    return ManifoldReport(name, n, kind, False, *found)
 
 
 def is_n_sphere(g: DigitalSpace, n: int) -> ManifoldReport:
     """Check the recursive digital n-sphere definition, with witness."""
-    if n == 0:
-        return _zero_sphere_report(g, "sphere")
     return _report(g, n, "sphere")
 
 
 def is_n_manifold(g: DigitalSpace, n: int) -> ManifoldReport:
     """Connected graph whose every rim is a digital (n-1)-sphere."""
-    if n < 1:
-        raise ValueError("manifold dimension must be >= 1")
     return _report(g, n, "manifold")
 
 
 def is_n_surface(g: DigitalSpace, n: int) -> ManifoldReport:
     """Recursive surface check; the n=0 base case is the 0-sphere."""
-    if n == 0:
-        return _zero_sphere_report(g, "surface")
     return _report(g, n, "surface")
 
 
@@ -362,7 +345,7 @@ def minimal_sphere(n: int) -> DigitalSpace:
     return DigitalSpace(pts, edges, name=f"s{n}_min")
 
 
-def disk_from_sphere(m: DigitalSpace, v) -> Tuple[DigitalSpace, Subspace, Subspace]:
+def disk_from_sphere(m: DigitalSpace, v) -> Tuple[DigitalSpace, DigitalSpace, DigitalSpace]:
     """Split a sphere at v into a disk, its boundary, and its interior.
 
     Returns (disk = m - v, boundary = rim of v, interior = disk minus

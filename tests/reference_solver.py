@@ -1,4 +1,5 @@
-"""Reference oracle for the solver's support-graph verdicts and limit.
+"""Reference oracle for the solver's support check, support-graph
+verdicts and limit.
 
 The matrix-power definitions, applied directly: a support is primitive
 when some power of its 0/1 pattern is entrywise positive, checked for
@@ -13,6 +14,16 @@ from typing import Optional
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
+
+
+def first_pair_off_balls(space, mat: np.ndarray):
+    """The first nonzero entry, row-major, whose two points are neither
+    equal nor adjacent, as a pair of points; None when there is none."""
+    points = space.points
+    for i, j in zip(*np.nonzero(mat)):
+        if i != j and not space.has_edge(points[i], points[j]):
+            return points[i], points[j]
+    return None
 
 
 def is_irreducible(mat: np.ndarray) -> bool:

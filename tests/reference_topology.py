@@ -67,8 +67,18 @@ def _surface(g, n: int) -> bool:
             and all(_surface(g.rim(v), n - 1) for v in g.points))
 
 
+def _zero_report(g):
+    """(ok, witness_point, witness_reason) of the n = 0 sphere and
+    surface checks: two isolated points."""
+    if _sphere(g, 0):
+        return True, None, None
+    return False, None, "not two isolated points"
+
+
 def sphere_report(g, n: int):
-    """(ok, witness_point, witness_reason) of the n-sphere check, n >= 1."""
+    """(ok, witness_point, witness_reason) of the n-sphere check, n >= 0."""
+    if n == 0:
+        return _zero_report(g)
     if not g.is_connected():
         return False, None, "not connected"
     for v in g.points:
@@ -91,7 +101,9 @@ def manifold_report(g, n: int):
 
 
 def surface_report(g, n: int):
-    """(ok, witness_point, witness_reason) of the n-surface check, n >= 1."""
+    """(ok, witness_point, witness_reason) of the n-surface check, n >= 0."""
+    if n == 0:
+        return _zero_report(g)
     if not g.is_connected():
         return False, None, "not connected"
     for v in g.points:

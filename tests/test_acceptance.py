@@ -132,7 +132,7 @@ def test_criterion_07_catalog_verification(capsys):
             failures.append(f"{name} failed the 2-manifold check")
         for v in g.points:
             rim = g.rim(v)
-            if len(rim.points) != 6 or not is_n_sphere(rim.detach(), 1).ok:
+            if len(rim.points) != 6 or not is_n_sphere(rim, 1).ok:
                 failures.append(f"{name}: rim of {v} is not a 6-point circle")
                 break
     for name in ("projective_plane_11", "sphere2_8"):
@@ -145,7 +145,7 @@ def test_criterion_07_catalog_verification(capsys):
     if len(entry.interior_points) != 4:
         failures.append("moebius_12 interior is not 4 points")
     for p in entry.interior_points:
-        if not is_n_sphere(moebius.rim(p).detach(), 1).ok:
+        if not is_n_sphere(moebius.rim(p), 1).ok:
             failures.append(f"moebius_12 interior rim at {p} is not a circle")
     boundary = moebius.induced(entry.boundary_points)
     if not (len(boundary.edges) == 8 and boundary.is_connected()

@@ -71,6 +71,14 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "no_such_thing", "--n", "2"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("dim, kind", [("0", "manifold"), ("-1", "sphere"),
+                                           ("-2", "surface")])
+    def test_bad_dimension_exit_2(self, runner, dim, kind):
+        result = runner.invoke(main, ["verify", "s2_min", "--n", dim, "--as", kind])
+        assert result.exit_code == 2
+        assert "error:" in result.output
+        assert "dimension must be" in result.output
+
 
 class TestInvariantsCommand:
     def test_klein(self, runner):

@@ -4,6 +4,7 @@ import pytest
 from digital_pde import catalog, experiments
 from digital_pde.graph_core import DigitalSpace
 from digital_pde.solver import (
+    CoefficientMatrix,
     DivergenceError,
     FieldState,
     Problem,
@@ -37,6 +38,8 @@ class TestBind:
         mat[0, 2] = 0.5  # 1 and 3 are opposite corners, not adjacent
         with pytest.raises(SupportError, match=r"\(1,3\)"):
             bind(four_cycle, mat)
+        with pytest.raises(SupportError, match=r"\(1,3\)"):
+            CoefficientMatrix(four_cycle, mat)
 
     def test_directed_support_allowed(self, four_cycle):
         mat = np.eye(4)
@@ -52,6 +55,49 @@ class TestBind:
         c = experiments.network_coefficients()
         assert is_diffusion(c)
         np.testing.assert_allclose(c.matrix.sum(axis=0), 1.0, atol=1e-12)
+
+    def test_index_derived_from_space(self, four_cycle):
+        c = CoefficientMatrix(four_cycle, np.eye(4))
+        assert c.index == {1: 0, 2: 1, 3: 2, 4: 3}
+        assert elliptic_residual(c, np.ones(4), points=[1]) == 0.0
+
+
+class TestRuleSupport:
+    def test_rule_leaving_the_balls_refused(self, four_cycle):
+        # 0.25 everywhere would move mass from point 1 to the
+        # non-adjacent point 3 in one step.
+        c = bind(four_cycle, np.eye(4), rule=lambda t: np.full((4, 4), 0.25))
+        problem = Problem(four_cycle, c, np.array([4.0, 0.0, 0.0, 0.0]), steps=1)
+        with pytest.raises(SupportError, match=r"\(1,3\)"):
+            solve_ivp(problem)
+
+    def test_rule_of_wrong_shape_refused(self, four_cycle):
+        c = bind(four_cycle, np.eye(4), rule=lambda t: np.eye(3))
+        with pytest.raises(ValueError, match="does not match 4 points"):
+            c.at(0)
+
+    def test_constant_matrix_returned_as_bound(self, four_cycle):
+        c = bind(four_cycle, np.eye(4))
+        assert c.at(5) is c.matrix
+
+
+class TestProblemSpace:
+    def test_coefficients_of_another_space_refused(self):
+        klein = catalog.space("klein_bottle_16")
+        coeffs = uniform_coefficients(catalog.space("torus_16"), 0.1, 0.4)
+        with pytest.raises(ValueError, match="coefficients"):
+            Problem(klein, coeffs, np.zeros(16))
+
+    def test_reordered_points_refused(self, four_cycle):
+        reordered = DigitalSpace([2, 1, 3, 4], four_cycle.edges)
+        coeffs = uniform_coefficients(reordered, 0.1, 0.8)
+        with pytest.raises(ValueError, match="coefficients"):
+            Problem(four_cycle, coeffs, np.zeros(4))
+
+    def test_equal_copy_of_the_space_accepted(self, four_cycle):
+        copy = DigitalSpace(four_cycle.points, four_cycle.edges)
+        coeffs = uniform_coefficients(copy, 0.1, 0.8)
+        assert Problem(four_cycle, coeffs, np.zeros(4)).coefficients is coeffs
 
 
 class TestIsDiffusion:

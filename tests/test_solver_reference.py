@@ -1,5 +1,5 @@
-"""Differential tests: the solver's support-graph verdicts and limit
-against the matrix-power oracle in ``reference_solver``."""
+"""Differential tests: the solver's support check, support-graph
+verdicts and limit against the oracles in ``reference_solver``."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from digital_pde import catalog
 from digital_pde.graph_core import DigitalSpace, cycle_space
-from digital_pde.solver import bind, is_irreducible, is_primitive, limit_matrix
+from digital_pde.solver import SupportError, bind, is_irreducible, is_primitive, limit_matrix
 
 import reference_solver as ref
 
@@ -28,6 +28,22 @@ def supports(draw, max_points=8):
     if draw(st.booleans()):
         np.fill_diagonal(mat, 0.0)
     return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports(), st.sampled_from(["torus_16", "moebius_12", "sphere2_8", "projective_plane_11"]))
+def test_support_check_matches_reference(mat, name):
+    """A random support on the first points of a catalog space, padded
+    with zeros: ``bind`` names the same first pair as the loop."""
+    space = catalog.space(name)
+    full = np.zeros((len(space.points), len(space.points)))
+    full[:len(mat), :len(mat)] = mat
+    expected = ref.first_pair_off_balls(space, full)
+    if expected is None:
+        bind(space, full)
+    else:
+        with pytest.raises(SupportError, match=r"^coefficient \(%d,%d\) " % expected):
+            bind(space, full)
 
 
 @settings(max_examples=500, deadline=None)

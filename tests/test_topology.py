@@ -1,9 +1,16 @@
 import pytest
 
 from digital_pde.canonical import are_isomorphic
-from digital_pde.graph_core import DigitalSpace, cycle_space, join, path_space
+from digital_pde.graph_core import (
+    DigitalSpace,
+    UnknownPointError,
+    cycle_space,
+    join,
+    path_space,
+)
 from digital_pde.invariants import euler_characteristic, homology
 from digital_pde.topology import (
+    ReductionTrace,
     attach_edge,
     attach_point,
     cone,
@@ -167,6 +174,37 @@ class TestManifoldSurface:
         report = check(DigitalSpace([], []), n)
         assert not report.ok
         assert report.witness_reason == "empty graph"
+
+    @pytest.mark.parametrize("check, n", [(is_n_sphere, -1), (is_n_surface, -1),
+                                          (is_n_surface, -2), (is_n_manifold, 0),
+                                          (is_n_manifold, -1)])
+    def test_bad_dimension_refused(self, four_cycle, check, n):
+        with pytest.raises(ValueError, match="dimension must be"):
+            check(four_cycle, n)
+
+    @pytest.mark.parametrize("check", [is_n_sphere, is_n_surface])
+    def test_empty_graph_at_zero_is_not_two_points(self, check):
+        # The n = 0 base case comes before the empty-graph refusal.
+        report = check(DigitalSpace([], []), 0)
+        assert (report.ok, report.witness_point, report.witness_reason) == (
+            False, None, "not two isolated points")
+
+
+class TestReplay:
+    def test_unknown_point(self, path3):
+        with pytest.raises(UnknownPointError):
+            ReductionTrace(deleted_points=[1, 9]).replay(path3)
+
+    def test_point_deleted_twice(self, path3):
+        with pytest.raises(UnknownPointError):
+            ReductionTrace(deleted_points=[1, 1]).replay(path3)
+
+    def test_non_simple_deletion(self, path3):
+        with pytest.raises(ValueError, match="point 2 was not simple"):
+            ReductionTrace(deleted_points=[2]).replay(path3)
+
+    def test_empty_order_returns_start(self, path3):
+        assert ReductionTrace(deleted_points=[]).replay(path3) is path3
 
 
 class TestRTransform:

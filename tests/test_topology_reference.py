@@ -1,6 +1,7 @@
 """Differential tests: the topology module against the recursive oracle
 in ``reference_topology`` on random graphs of at most 9 points."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,11 +76,15 @@ def test_contractible_matches_reference(g):
         assert trace is None
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_spaces, st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+@given(small_spaces, st.integers(0, 3))
 def test_recognizers_match_reference(g, n):
     assert report_tuple(is_n_sphere(g, n)) == ref.sphere_report(g, n)
-    assert report_tuple(is_n_manifold(g, n)) == ref.manifold_report(g, n)
+    if n == 0:
+        with pytest.raises(ValueError):
+            is_n_manifold(g, n)
+    else:
+        assert report_tuple(is_n_manifold(g, n)) == ref.manifold_report(g, n)
     assert report_tuple(is_n_surface(g, n)) == ref.surface_report(g, n)
 
 

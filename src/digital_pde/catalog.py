@@ -98,7 +98,7 @@ def projective_plane_11() -> CatalogEntry:
     return CatalogEntry(
         name="projective_plane_11", space=space, dimension=2, kind="manifold",
         expected_homology=HomologyProfile(1, [1, 0, 0], [[], [2], []]),
-        rim_sizes={p: space.degree(p) for p in space.points},
+        rim_sizes={1: 5, 2: 5, 3: 5, 11: 5, 10: 4, **{p: 6 for p in range(4, 10)}},
         provenance=("stored: flag triangulation found by subdividing the "
                     "6-point projective plane and flipping edges until every "
                     "rim is an induced cycle"),
@@ -110,7 +110,7 @@ def moebius_12() -> CatalogEntry:
     return CatalogEntry(
         name="moebius_12", space=space, dimension=2, kind="manifold-with-boundary",
         expected_homology=HomologyProfile(0, [1, 1, 0], [[], [], []]),
-        rim_sizes={p: space.degree(p) for p in space.points},
+        rim_sizes={**{p: 4 for p in range(1, 9)}, **{p: 6 for p in range(9, 13)}},
         provenance=("stored: boundary 8-cycle on points 1-8, interior 4-cycle "
                     "on 9-12, incidences fixed by search against the oracle"),
         boundary_points=list(range(1, 9)),

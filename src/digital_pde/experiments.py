@@ -37,6 +37,9 @@ from .solver import (
     uniform_coefficients,
 )
 
+LIMIT_TOL = 1e-6  # worst deviation of the terminal state from a known limit
+RESIDUAL_TOL = 1e-8  # 1-norm of f - C f at the terminal state, when no limit is known
+
 
 @dataclass
 class ExperimentSpec:
@@ -44,7 +47,6 @@ class ExperimentSpec:
     problem: Problem
     plot_points: List[int]
     expected_limit: Optional[float]  # per free point; None when unpublished
-    limit_tol: float = 1e-6
 
 
 @dataclass
@@ -157,7 +159,7 @@ def experiment(exp_id: str) -> ExperimentSpec:
     return _BUILDERS[exp_id]()
 
 
-def run(exp_id: str, residual_tol: float = 1e-8) -> ExperimentResult:
+def run(exp_id: str) -> ExperimentResult:
     """Run one experiment and check its stated expectations."""
     spec = experiment(exp_id)
     problem = spec.problem
@@ -167,24 +169,24 @@ def run(exp_id: str, residual_tol: float = 1e-8) -> ExperimentResult:
         free = [p for p in problem.space.points if p not in problem.boundary_points]
         residual = elliptic_residual(
             problem.coefficients, trajectory.terminal.values, points=free)
-        if residual >= residual_tol:
+        if residual >= RESIDUAL_TOL:
             failures.append(f"terminal free-point residual {residual:.3g}")
     else:
         trajectory = solve_ivp(problem)
         if spec.expected_limit is not None:
             terminal = trajectory.terminal.values
             worst = float(np.abs(terminal - spec.expected_limit).max())
-            if worst >= spec.limit_tol:
+            if worst >= LIMIT_TOL:
                 failures.append(
                     f"limit mismatch: worst deviation {worst:.3g} from "
                     f"{spec.expected_limit}")
         else:
             residual = elliptic_residual(problem.coefficients,
                                          trajectory.terminal.values)
-            if residual >= residual_tol:
+            if residual >= RESIDUAL_TOL:
                 failures.append(f"terminal residual {residual:.3g}")
         total0 = trajectory.sums[0]
-        drift = max(abs(s - total0) for s in trajectory.sums)
+        drift = float(np.abs(trajectory.sums - total0).max())
         if drift >= 1e-9 * max(abs(total0), 1.0):
             failures.append(f"conserved sum drifted by {drift:.3g}")
     return ExperimentResult(spec, trajectory, not failures, failures)

@@ -136,6 +136,8 @@ def problem_from_json_dict(d: dict) -> Problem:
         unknown = set(points) - set(space.points)
         if unknown:
             raise ProblemFormatError(f"boundary.points: unknown {sorted(unknown)}")
+        if len(set(points)) != len(points):
+            raise ProblemFormatError(f"boundary.points: repeated points in {points}")
         clamp: Dict[int, float] = {p: _finite(v, "boundary.values")
                                    for p, v in zip(points, values)}
         boundary_points = list(points)
@@ -168,7 +170,8 @@ def _fmt(x: float) -> str:
 def trajectory_csv(trajectory: Trajectory, space: DigitalSpace) -> str:
     header = "t," + ",".join(f"f_{p}" for p in space.points) + ",S,norm1"
     lines = [header]
-    for state, s, norm in zip(trajectory.states, trajectory.sums, trajectory.norms):
-        row = [str(state.t)] + [_fmt(v) for v in state.values] + [_fmt(s), _fmt(norm)]
+    records = zip(trajectory.values, trajectory.sums, trajectory.norms)
+    for t, (values, s, norm) in enumerate(records):
+        row = [str(t)] + [_fmt(v) for v in values] + [_fmt(s), _fmt(norm)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,8 @@ the directed network does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +25,7 @@ from .graph_core import DigitalSpace
 
 DIFFUSION_TOL = 1e-12
 DEFAULT_TRAJECTORY_TOL = 1e-10
-DEFAULT_MAX_STEPS = 10 ** 6
-DEFAULT_BLOWUP_FACTOR = 1e6
+BLOWUP_FACTOR = 1e6
 
 MatrixRule = Callable[[int], np.ndarray]
 
@@ -85,10 +85,6 @@ class CoefficientMatrix:
     def n(self) -> int:
         return len(self.space.points)
 
-    @property
-    def time_dependent(self) -> bool:
-        return self.rule is not None
-
     def at(self, t: int) -> np.ndarray:
         if self.rule is None:
             return self.matrix
@@ -123,12 +119,13 @@ def uniform_coefficients(space: DigitalSpace, offdiag: float,
     return bind(space, mat)
 
 
-def is_diffusion(c: CoefficientMatrix, tol: float = DIFFUSION_TOL) -> bool:
-    """Nonnegative entries, every column summing to one."""
+def is_diffusion(c: CoefficientMatrix) -> bool:
+    """Nonnegative entries, every column summing to one (within
+    ``DIFFUSION_TOL``)."""
     mat = c.matrix
     if (mat < 0).any():
         return False
-    return bool(np.all(np.abs(mat.sum(axis=0) - 1.0) <= tol))
+    return bool(np.all(np.abs(mat.sum(axis=0) - 1.0) <= DIFFUSION_TOL))
 
 
 @dataclass
@@ -137,9 +134,6 @@ class FieldState:
 
     t: int
     values: np.ndarray
-
-    def value_at(self, c: CoefficientMatrix, point: int) -> float:
-        return float(self.values[c.index[point]])
 
 
 @dataclass
@@ -154,7 +148,6 @@ class Problem:
     boundary_values: Optional[Callable[[int], Dict[int, float]]] = None
     steps: int = 2000
     tol: float = DEFAULT_TRAJECTORY_TOL
-    blowup_factor: float = DEFAULT_BLOWUP_FACTOR
 
     def __post_init__(self):
         bound = self.coefficients.space
@@ -166,6 +159,8 @@ class Problem:
         if self.initial.shape != (len(self.space.points),):
             raise ValueError("initial values length must equal point count")
         if self.boundary_points:
+            if len(set(self.boundary_points)) != len(self.boundary_points):
+                raise ValueError(f"repeated boundary points in {self.boundary_points}")
             unknown = set(self.boundary_points) - set(self.space.points)
             if unknown:
                 raise ValueError(f"boundary points {sorted(unknown)} not in space")
@@ -175,74 +170,84 @@ class Problem:
         return bool(self.boundary_points)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """States t=0..T with the conserved-sum and 1-norm records."""
+    """A run t = 0..T: row t of ``values`` is f(t), with its sum in
+    ``sums`` and its 1-norm in ``norms``.  ``converged`` says whether the
+    run stopped on the problem's ``tol`` rather than on its step cap."""
 
-    states: List[FieldState]
-    sums: List[float]
-    norms: List[float]
+    values: np.ndarray
+    sums: np.ndarray
+    norms: np.ndarray
+    converged: bool
 
     @property
     def terminal(self) -> FieldState:
-        return self.states[-1]
+        return FieldState(t=len(self.values) - 1, values=self.values[-1])
 
-    def converged(self, tol: float) -> bool:
-        if len(self.states) < 2:
-            return False
-        diff = self.states[-1].values - self.states[-2].values
-        return float(np.abs(diff).sum()) < tol
+    @cached_property
+    def states(self) -> List[FieldState]:
+        """One view per row of ``values``, built on first use."""
+        return [FieldState(t=t, values=row) for t, row in enumerate(self.values)]
 
 
-def step(f: FieldState, c: CoefficientMatrix,
-         g: Optional[np.ndarray] = None) -> FieldState:
-    """One explicit update: matrix-vector product plus source."""
-    nxt = c.at(f.t) @ f.values
+def step(f: np.ndarray, c: CoefficientMatrix, t: int,
+         g: Optional[np.ndarray] = None) -> np.ndarray:
+    """One explicit update f(t) -> f(t+1): matrix-vector product plus source."""
+    nxt = c.at(t) @ f
     if g is not None:
         nxt = nxt + g
-    return FieldState(t=f.t + 1, values=nxt)
+    return nxt
 
 
-def _clamp(values: np.ndarray, problem: Problem, t: int) -> None:
+def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
+           t: int) -> None:
+    """Hold each boundary point, at its ``rows`` entry, at its value from
+    ``boundary_values(t)``, which must name exactly the boundary points."""
     clamps = problem.boundary_values(t)
-    for p, s in clamps.items():
-        values[problem.coefficients.index[p]] = s
+    for p, i in rows:
+        if p not in clamps:
+            raise ValueError(f"boundary_values({t}) has no value for boundary point {p}")
+        values[i] = clamps[p]
+    if len(clamps) != len(rows):
+        other = next(p for p in clamps if p not in problem.boundary_points)
+        raise ValueError(f"boundary_values({t}) names point {other}, not a boundary point")
 
 
-def _iterate(problem: Problem, clamped: bool) -> Trajectory:
+def _iterate(problem: Problem) -> Trajectory:
     c = problem.coefficients
-    values = problem.initial.copy()
-    if clamped:
-        _clamp(values, problem, 0)
-    state = FieldState(t=0, values=values)
-    states = [state]
-    sums = [float(values.sum())]
-    norms = [float(np.abs(values).sum())]
-    guard = problem.blowup_factor * max(norms[0], 1.0)
-    for _ in range(problem.steps):
-        g = problem.source(state.t) if problem.source is not None else None
-        nxt = step(state, c, g)
-        if clamped:
-            _clamp(nxt.values, problem, nxt.t)
-        states.append(nxt)
-        sums.append(float(nxt.values.sum()))
-        norm = float(np.abs(nxt.values).sum())
+    rows = [(p, c.index[p]) for p in problem.boundary_points or ()]
+    f = problem.initial.copy()
+    if rows:
+        _clamp(f, problem, rows, 0)
+    record = [f]
+    norms = [float(np.abs(f).sum())]
+    guard = BLOWUP_FACTOR * max(norms[0], 1.0)
+    converged = False
+    for t in range(problem.steps):
+        g = problem.source(t) if problem.source is not None else None
+        nxt = step(f, c, t, g)
+        if rows:
+            _clamp(nxt, problem, rows, t + 1)
+        record.append(nxt)
+        norm = float(np.abs(nxt).sum())
         norms.append(norm)
         if norm > guard:
             raise DivergenceError(
-                f"norm {norm:.3g} exceeded blow-up guard at step {nxt.t}")
-        delta = float(np.abs(nxt.values - state.values).sum())
-        state = nxt
-        if delta < problem.tol:
+                f"norm {norm:.3g} exceeded blow-up guard at step {t + 1}")
+        converged = float(np.abs(nxt - f).sum()) < problem.tol
+        f = nxt
+        if converged:
             break
-    return Trajectory(states=states, sums=sums, norms=norms)
+    values = np.stack(record)
+    return Trajectory(values, values.sum(axis=1), np.array(norms), converged)
 
 
 def solve_ivp(problem: Problem) -> Trajectory:
     """Iterate the scheme from the initial values (no boundary clause)."""
     if problem.has_boundary:
         raise ValueError("problem has a boundary clause; use solve_bvp")
-    return _iterate(problem, clamped=False)
+    return _iterate(problem)
 
 
 def solve_bvp(problem: Problem) -> Trajectory:
@@ -253,24 +258,21 @@ def solve_bvp(problem: Problem) -> Trajectory:
     """
     if not problem.has_boundary:
         raise ValueError("problem has no boundary clause; use solve_ivp")
-    return _iterate(problem, clamped=True)
+    return _iterate(problem)
 
 
 # ---------------------------------------------------------------------------
 # stability / spectral analysis
 # ---------------------------------------------------------------------------
 
-def stability_bound_check(c: CoefficientMatrix, n: Optional[int] = None,
-                          sample_steps: Sequence[int] = (0,)) -> bool:
-    """Sufficient stability condition: every |c[p,k]| strictly below 1/n.
+def stability_bound_check(c: CoefficientMatrix) -> bool:
+    """Sufficient stability condition: every |c[p,k]| of C(0) strictly
+    below 1/n.
 
     A failing check says nothing about divergence; diffusion matrices
     routinely fail it and still converge.
     """
-    n = n or c.n
-    bound = 1.0 / n
-    steps = sample_steps if c.time_dependent else (0,)
-    return all(float(np.abs(c.at(t)).max()) < bound for t in steps)
+    return float(np.abs(c.at(0)).max()) < 1.0 / c.n
 
 
 def is_irreducible(c: CoefficientMatrix) -> bool:
@@ -319,7 +321,7 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     ``residual`` is |C x - x| in the max norm (inf when there is no
     limit).
     """
-    if c.time_dependent:
+    if c.rule is not None:
         raise ValueError("limit_matrix supports constant coefficients only")
     if not is_diffusion(c):
         raise ValueError("limit_matrix requires a diffusion matrix")

@@ -44,7 +44,7 @@ def _nice_ticks(lo: float, hi: float, count: int = 5) -> List[float]:
     return ticks
 
 
-def line_chart(series: Dict[str, Sequence[float]], title: str = "",
+def line_chart(series: Dict[str, Sequence[float]],
                x_label: str = "t", y_label: str = "f") -> str:
     """Render one polyline per labeled series over x = 0, 1, 2, ...
 
@@ -77,10 +77,6 @@ def line_chart(series: Dict[str, Sequence[float]], title: str = "",
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>')
     for tick in _nice_ticks(0, x_hi):
         x = sx(tick)
         parts.append(

@@ -1,16 +1,18 @@
 """Reference oracle for the solver's support check, support-graph
-verdicts and limit.
+verdicts, limit and time loop.
 
 The matrix-power definitions, applied directly: a support is primitive
 when some power of its 0/1 pattern is entrywise positive, checked for
 every power up to the Wielandt bound (n - 1)^2 + 1, and the limit of
-C^t is found by squaring C until two squares agree.  Dense and slow;
-the tests compare ``digital_pde.solver`` against it on small inputs.
+C^t is found by squaring C until two squares agree.  The time loop keeps
+one (t, values) state per step and recomputes convergence from the last
+two states.  Dense and slow; the tests compare ``digital_pde.solver``
+against it on small inputs.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -67,3 +69,32 @@ def limit(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 200) -> Optional[
         if residual < tol:
             return power
     return None
+
+
+def trajectory(problem) -> Tuple[List[np.ndarray], List[float], List[float], bool]:
+    """Iterate ``problem`` one state at a time: the rows f(0), f(1), ...,
+    their sums and 1-norms as Python floats, and whether the last delta
+    is below ``problem.tol``.  Boundary points are clamped from
+    ``boundary_values(t)`` after every step; there is no blow-up guard."""
+
+    def clamp(values, t):
+        if problem.has_boundary:
+            for p, v in problem.boundary_values(t).items():
+                values[problem.coefficients.index[p]] = v
+
+    values = problem.initial.copy()
+    clamp(values, 0)
+    states = [(0, values)]
+    for _ in range(problem.steps):
+        t, f = states[-1]
+        nxt = problem.coefficients.at(t) @ f
+        if problem.source is not None:
+            nxt = nxt + problem.source(t)
+        clamp(nxt, t + 1)
+        states.append((t + 1, nxt))
+        if float(np.abs(nxt - f).sum()) < problem.tol:
+            break
+    rows = [v for _, v in states]
+    converged = len(rows) >= 2 and float(np.abs(rows[-1] - rows[-2]).sum()) < problem.tol
+    return (rows, [float(v.sum()) for v in rows],
+            [float(np.abs(v).sum()) for v in rows], converged)

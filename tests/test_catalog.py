@@ -127,3 +127,13 @@ class TestDataOverride:
         entry = catalog.klein_bottle_16()
         with pytest.raises(catalog.CatalogVerificationError):
             catalog.verify_entry(entry)
+
+    def test_rim_sizes_are_checked_against_stored_values(self, tmp_path, monkeypatch):
+        # a Moebius strip missing one boundary edge leaves points 1 and 2
+        # with rims of 3 points, which the stored sizes refuse
+        broken = catalog.space("moebius_12").delete_edge(1, 2)
+        (tmp_path / "moebius_12.json").write_text(json.dumps(broken.to_json_dict()))
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(tmp_path))
+        with pytest.raises(catalog.CatalogVerificationError,
+                           match=r"rim of 1 has 3 points, expected 4"):
+            catalog.verify_entry(catalog.entry("moebius_12"))

@@ -162,7 +162,7 @@ class TestMutationsReturnNewValues:
         v = g.points[0]
         nbrs = g.neighbors(v)
         back = g.delete_point(v).add_point(v, nbrs)
-        assert are_isomorphic(g, back)
+        assert back == g
 
 
 class TestConnectivity:

@@ -189,6 +189,11 @@ class TestRejectsBadNumbers:
             problem_from_json_dict(klein_problem_dict(
                 boundary={"points": [1], "values": [float("inf")]}))
 
+    def test_repeated_boundary_point(self):
+        with pytest.raises(ProblemFormatError, match="boundary.points: repeated"):
+            problem_from_json_dict(klein_problem_dict(
+                boundary={"points": [1, 1], "values": [1, 5]}))
+
 
 class TestTrajectoryCsv:
     def test_header_and_rows(self):

@@ -6,7 +6,6 @@ from digital_pde.graph_core import DigitalSpace
 from digital_pde.solver import (
     CoefficientMatrix,
     DivergenceError,
-    FieldState,
     Problem,
     SupportError,
     bind,
@@ -121,30 +120,28 @@ class TestIsDiffusion:
 class TestStep:
     def test_identity_fixes_everything(self, four_cycle):
         c = bind(four_cycle, np.eye(4))
-        f = FieldState(0, np.array([1.0, 2.0, 3.0, 4.0]))
-        nxt = step(f, c)
-        assert nxt.t == 1
-        np.testing.assert_array_equal(nxt.values, f.values)
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_array_equal(step(f, c, 0), f)
 
     def test_klein_first_step_hand_value(self, klein, klein_coeffs):
         f0 = np.zeros(16)
         f0[0] = 16.0
-        nxt = step(FieldState(0, f0), klein_coeffs)
+        nxt = step(f0, klein_coeffs, 0)
         # point 1 keeps 0.4 of its mass; neighbors each receive 0.1 * 16
-        assert nxt.values[0] == pytest.approx(0.4 * 16)
+        assert nxt[0] == pytest.approx(0.4 * 16)
         for p in klein.neighbors(1):
-            assert nxt.value_at(klein_coeffs, p) == pytest.approx(1.6)
+            assert nxt[klein_coeffs.index[p]] == pytest.approx(1.6)
 
     def test_uniform_vector_fixed_for_symmetric_matrix(self, klein_coeffs):
         ones = np.ones(16)
-        nxt = step(FieldState(0, ones), klein_coeffs)
-        np.testing.assert_allclose(nxt.values, ones, atol=1e-14)
+        nxt = step(ones, klein_coeffs, 0)
+        np.testing.assert_allclose(nxt, ones, atol=1e-14)
 
     def test_source_term_added(self, four_cycle):
         c = bind(four_cycle, np.eye(4))
         g = np.array([1.0, 0.0, 0.0, 0.0])
-        nxt = step(FieldState(0, np.zeros(4)), c, g)
-        assert nxt.values[0] == 1.0
+        nxt = step(np.zeros(4), c, 0, g)
+        assert nxt[0] == 1.0
 
 
 class TestSolveIvp:
@@ -163,7 +160,7 @@ class TestSolveIvp:
     def test_divergence_guard(self, four_cycle):
         mat = np.eye(4) * 2.0  # doubles mass each step
         problem = Problem(four_cycle, bind(four_cycle, mat),
-                          np.ones(4), steps=200, blowup_factor=100.0)
+                          np.ones(4), steps=200)
         with pytest.raises(DivergenceError):
             solve_ivp(problem)
 
@@ -211,6 +208,26 @@ class TestSolveBvp:
         c = uniform_coefficients(four_cycle, 0.1, 0.8)
         with pytest.raises(ValueError):
             solve_bvp(Problem(four_cycle, c, np.zeros(4)))
+
+    @pytest.mark.parametrize("clamps, named", [
+        ({1: 1.0, 2: 5.0}, "point 2"),
+        ({99: 1.0}, "boundary point 1"),
+        ({}, "boundary point 1"),
+    ])
+    def test_clamps_must_name_exactly_the_boundary(self, projective, clamps, named):
+        coeffs = uniform_coefficients(
+            projective, 0.1,
+            {p: 1.0 - 0.1 * projective.degree(p) for p in projective.points})
+        problem = Problem(projective, coeffs, np.zeros(11), boundary_points=[1],
+                          boundary_values=lambda t: clamps)
+        with pytest.raises(ValueError, match=named):
+            solve_bvp(problem)
+
+    def test_repeated_boundary_points_rejected(self, four_cycle):
+        c = uniform_coefficients(four_cycle, 0.1, 0.8)
+        with pytest.raises(ValueError, match="repeated boundary points"):
+            Problem(four_cycle, c, np.zeros(4), boundary_points=[1, 1],
+                    boundary_values=lambda t: {1: 1.0})
 
 
 class TestStabilityBound:

@@ -1,5 +1,6 @@
 """Differential tests: the solver's support check, support-graph
-verdicts and limit against the oracles in ``reference_solver``."""
+verdicts, limit and time loop against the oracles in
+``reference_solver``."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,16 @@ from hypothesis import strategies as st
 
 from digital_pde import catalog
 from digital_pde.graph_core import DigitalSpace, cycle_space
-from digital_pde.solver import SupportError, bind, is_irreducible, is_primitive, limit_matrix
+from digital_pde.solver import (
+    Problem,
+    SupportError,
+    bind,
+    is_irreducible,
+    is_primitive,
+    limit_matrix,
+    solve_bvp,
+    solve_ivp,
+)
 
 import reference_solver as ref
 
@@ -116,3 +126,38 @@ def test_one_point():
     assert not is_primitive(bind(g, np.zeros((1, 1))))
     assert is_primitive(bind(g, np.ones((1, 1))))
     np.testing.assert_array_equal(limit_matrix(bind(g, np.ones((1, 1)))).limit, [[1.0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["torus_16", "klein_bottle_16", "projective_plane_11",
+                        "moebius_12", "sphere2_8", "s2_min"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(0, 150),
+       st.sampled_from([0.0, 1e-10, 1e-4, 1e-1]))
+def test_trajectory_matches_reference(name, seed, boundary, steps, tol):
+    """Random diffusions on the ball support, with ``boundary`` clamped
+    points (an IVP when 0) and tolerances from never met to met within a
+    few steps: the recorded rows, sums, norms and convergence flag are
+    bitwise those of the state-per-step loop."""
+    space = catalog.space(name)
+    rng = np.random.default_rng(seed)
+    n = len(space.points)
+    index = {p: i for i, p in enumerate(space.points)}
+    mat = np.zeros((n, n))
+    for j, k in enumerate(space.points):
+        targets = [index[p] for p in space.neighbors(k)] + [j]
+        weights = rng.random(len(targets)) + 1e-3
+        mat[targets, j] = weights / weights.sum()
+    points = [int(p) for p in rng.choice(space.points, size=boundary, replace=False)]
+    clamps = {p: float(v) for p, v in zip(points, rng.random(boundary) * 5)}
+    problem = Problem(space, bind(space, mat), rng.random(n) * 10,
+                      boundary_points=points or None,
+                      boundary_values=(lambda t: clamps) if points else None,
+                      steps=steps, tol=tol)
+    trajectory = solve_bvp(problem) if points else solve_ivp(problem)
+    rows, sums, norms, converged = ref.trajectory(problem)
+    assert np.array_equal(trajectory.values, np.array(rows))
+    assert trajectory.sums.tolist() == sums
+    assert trajectory.norms.tolist() == norms
+    assert trajectory.converged == converged
+    assert [s.t for s in trajectory.states] == list(range(len(rows)))
+    assert trajectory.terminal.t == len(rows) - 1

@@ -19,7 +19,7 @@ from . import catalog, experiments
 from .graph_core import DigitalSpace
 from .invariants import homology
 from .problem_io import ProblemFormatError, _finite, _steps, problem_from_json, trajectory_csv
-from .solver import Problem, bind, solve_bvp, solve_ivp
+from .solver import Problem, bind_entries, solve_bvp, solve_ivp
 from .svgplot import line_chart
 from .topology import homotopy_reduce, is_n_manifold, is_n_sphere, is_n_surface, r_transform
 
@@ -259,16 +259,13 @@ def properties(seed, cases):
 
 def _random_diffusion(space, np_rng):
     """Random nonnegative column-stochastic coefficients on the ball support."""
-    n = len(space.points)
-    index = {p: i for i, p in enumerate(space.points)}
-    mat = np.zeros((n, n))
-    for j, k in enumerate(space.points):
-        targets = [index[p] for p in space.neighbors(k)] + [j]
+    entries = []
+    for k in space.points:
+        targets = [*space.neighbors(k), k]
         weights = np_rng.random(len(targets))
         weights /= weights.sum()
-        for i, w in zip(targets, weights):
-            mat[i, j] = w
-    return bind(space, mat)
+        entries += [(p, k, w) for p, w in zip(targets, weights)]
+    return bind_entries(space, entries)
 
 
 if __name__ == "__main__":

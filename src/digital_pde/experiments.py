@@ -30,7 +30,7 @@ from .solver import (
     CoefficientMatrix,
     Problem,
     Trajectory,
-    bind,
+    bind_entries,
     elliptic_residual,
     solve_bvp,
     solve_ivp,
@@ -124,14 +124,9 @@ _NETWORK_DIAG = 0.2
 
 def network_coefficients() -> CoefficientMatrix:
     space = catalog.space("sphere2_8")
-    n = len(space.points)
-    index = {p: i for i, p in enumerate(space.points)}
-    mat = np.zeros((n, n))
-    for src, dst, v in _NETWORK_FLOWS:
-        mat[index[dst], index[src]] = v
-    for p in space.points:
-        mat[index[p], index[p]] = _NETWORK_DIAG
-    return bind(space, mat)
+    entries = [(dst, src, v) for src, dst, v in _NETWORK_FLOWS]
+    entries += [(p, p, _NETWORK_DIAG) for p in space.points]
+    return bind_entries(space, entries)
 
 
 def _network_s2() -> ExperimentSpec:

@@ -29,8 +29,8 @@ from typing import Dict
 import numpy as np
 
 from . import catalog
-from .graph_core import DigitalSpace
-from .solver import CoefficientMatrix, Problem, Trajectory, bind, uniform_coefficients
+from .graph_core import DigitalSpace, UnknownPointError
+from .solver import CoefficientMatrix, Problem, Trajectory, bind_entries, uniform_coefficients
 
 
 class ProblemFormatError(ValueError):
@@ -74,19 +74,17 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
     if not isinstance(spec, dict):
         raise ProblemFormatError("coefficients: expected an object")
     if "entries" in spec:
-        n = len(space.points)
-        index = {p: i for i, p in enumerate(space.points)}
-        mat = np.zeros((n, n))
+        entries = []
         for item in spec["entries"]:
             try:
                 p, k, v = item
             except (TypeError, ValueError):
                 raise ProblemFormatError(f"coefficients.entries: bad entry {item!r}")
-            if p not in index or k not in index:
-                raise ProblemFormatError(
-                    f"coefficients.entries: unknown point in {item!r}")
-            mat[index[p], index[k]] = _finite(v, "coefficients.entries")
-        return bind(space, mat)
+            entries.append((p, k, _finite(v, "coefficients.entries")))
+        try:
+            return bind_entries(space, entries)
+        except UnknownPointError as exc:
+            raise ProblemFormatError(f"coefficients.entries: {exc.args[0]}")
     if "uniform_offdiag" in spec:
         offdiag = _finite(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
         if "diag_map" in spec:

@@ -1,13 +1,14 @@
-"""Reference oracle for the solver's support check, support-graph
-verdicts, limit and time loop.
+"""Reference oracle for the solver's coefficient fills, support check,
+support-graph verdicts, limit and time loop.
 
 The matrix-power definitions, applied directly: a support is primitive
 when some power of its 0/1 pattern is entrywise positive, checked for
 every power up to the Wielandt bound (n - 1)^2 + 1, and the limit of
 C^t is found by squaring C until two squares agree.  The time loop keeps
 one (t, values) state per step and recomputes convergence from the last
-two states.  Dense and slow; the tests compare ``digital_pde.solver``
-against it on small inputs.
+two states.  The coefficient fills are the per-entry loops that each
+caller of the solver once ran on its own n x n array.  Dense and slow;
+the tests compare ``digital_pde`` against it on small inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +17,59 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
+
+
+def uniform_matrix(space, offdiag: float, diag) -> np.ndarray:
+    """The same weight on every edge; ``diag`` a float or a dict by point."""
+    n = len(space.points)
+    index = {p: i for i, p in enumerate(space.points)}
+    mat = np.zeros((n, n))
+    for u, v in space.edges:
+        mat[index[u], index[v]] = offdiag
+        mat[index[v], index[u]] = offdiag
+    for p in space.points:
+        d = diag[p] if isinstance(diag, dict) else diag
+        mat[index[p], index[p]] = d
+    return mat
+
+
+def network_matrix(space, flows, diag: float) -> np.ndarray:
+    """Directed flows (src, dst, v) stored as C[dst, src] = v, then the
+    diagonal."""
+    n = len(space.points)
+    index = {p: i for i, p in enumerate(space.points)}
+    mat = np.zeros((n, n))
+    for src, dst, v in flows:
+        mat[index[dst], index[src]] = v
+    for p in space.points:
+        mat[index[p], index[p]] = diag
+    return mat
+
+
+def entries_matrix(space, entries) -> np.ndarray:
+    """Problem JSON ``coefficients.entries``: C[p, k] = v, a later entry
+    for the same pair overwriting an earlier one."""
+    n = len(space.points)
+    index = {p: i for i, p in enumerate(space.points)}
+    mat = np.zeros((n, n))
+    for p, k, v in entries:
+        mat[index[p], index[k]] = v
+    return mat
+
+
+def random_diffusion_matrix(space, np_rng) -> np.ndarray:
+    """Column k: random weights on the neighbours of k and k itself,
+    normalised to sum to one, drawn column by column in point order."""
+    n = len(space.points)
+    index = {p: i for i, p in enumerate(space.points)}
+    mat = np.zeros((n, n))
+    for j, k in enumerate(space.points):
+        targets = [index[p] for p in space.neighbors(k)] + [j]
+        weights = np_rng.random(len(targets))
+        weights /= weights.sum()
+        for i, w in zip(targets, weights):
+            mat[i, j] = w
+    return mat
 
 
 def first_pair_off_balls(space, mat: np.ndarray):

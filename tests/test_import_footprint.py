@@ -1,0 +1,30 @@
+"""The bundled experiments and catalog verification run without
+importing ``scipy.sparse``.  That import costs about 0.2 s and 20 MB of
+resident memory, more than the whole start-up of a small run, so only
+the support-graph verdicts (``is_irreducible``, ``is_primitive``) may
+pull it in, and only when called."""
+
+import os
+import subprocess
+import sys
+
+import digital_pde
+
+SCRIPT = """
+import sys
+import digital_pde
+from digital_pde import catalog, experiments
+for exp_id in experiments.EXPERIMENT_IDS:
+    experiments.run(exp_id)
+catalog.verify_all()
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
+"""
+
+
+def test_experiments_and_catalog_leave_scipy_sparse_unimported():
+    src = os.path.dirname(os.path.dirname(digital_pde.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from digital_pde import catalog, experiments
-from digital_pde.graph_core import DigitalSpace
+from digital_pde.graph_core import DigitalSpace, UnknownPointError, cycle_space
 from digital_pde.solver import (
     CoefficientMatrix,
     DivergenceError,
     Problem,
     SupportError,
     bind,
+    bind_entries,
     elliptic_residual,
     is_diffusion,
     is_irreducible,
@@ -59,6 +60,34 @@ class TestBind:
         c = CoefficientMatrix(four_cycle, np.eye(4))
         assert c.index == {1: 0, 2: 1, 3: 2, 4: 3}
         assert elliptic_residual(c, np.ones(4), points=[1]) == 0.0
+
+    def test_built_matrix_starts_on_64_bytes(self):
+        for n in range(3, 9):
+            assert uniform_coefficients(cycle_space(n), 0.25, 0.5).matrix.ctypes.data % 64 == 0
+
+    def test_entries_name_unknown_point(self, four_cycle):
+        with pytest.raises(UnknownPointError, match="unknown point 9"):
+            bind_entries(four_cycle, [(1, 1, 0.5), (1, 9, 0.5)])
+
+
+class TestOwnership:
+    def test_later_write_to_the_callers_array_is_not_seen(self, four_cycle):
+        m = np.eye(4)
+        c = bind(four_cycle, m)
+        m[0, 0] = 0.0
+        m[2, 0] = 1.0  # flow 1 -> 3, which are not adjacent
+        trajectory = solve_ivp(Problem(four_cycle, c, [1.0, 0.0, 0.0, 0.0], steps=1, tol=0.0))
+        np.testing.assert_array_equal(trajectory.values[1], [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda g: bind(g, np.eye(4)),
+        lambda g: bind_entries(g, [(p, p, 1.0) for p in g.points]),
+        lambda g: uniform_coefficients(g, 0.25, 0.5),
+    ], ids=["bind", "bind_entries", "uniform_coefficients"])
+    def test_bound_matrix_is_read_only(self, four_cycle, build):
+        c = build(four_cycle)
+        with pytest.raises(ValueError, match="read-only"):
+            c.matrix[0, 2] = 1.0
 
 
 class TestRuleSupport:
@@ -162,6 +191,12 @@ class TestSolveIvp:
         problem = Problem(four_cycle, bind(four_cycle, mat),
                           np.ones(4), steps=200)
         with pytest.raises(DivergenceError):
+            solve_ivp(problem)
+
+    def test_divergence_guard_refuses_nan(self, four_cycle):
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
+                          source=lambda t: np.full(4, np.nan), steps=50)
+        with pytest.raises(DivergenceError, match="at step 1$"):
             solve_ivp(problem)
 
     def test_bvp_problem_rejected(self, klein, klein_coeffs):

@@ -1,23 +1,26 @@
-"""Differential tests: the solver's support check, support-graph
-verdicts, limit and time loop against the oracles in
-``reference_solver``."""
+"""Differential tests: the coefficient builders, the solver's support
+check, support-graph verdicts, limit and time loop against the oracles
+in ``reference_solver``."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from digital_pde import catalog
+from digital_pde import catalog, cli, experiments
 from digital_pde.graph_core import DigitalSpace, cycle_space
+from digital_pde.problem_io import problem_from_json_dict
 from digital_pde.solver import (
     Problem,
     SupportError,
     bind,
+    bind_entries,
     is_irreducible,
     is_primitive,
     limit_matrix,
     solve_bvp,
     solve_ivp,
+    uniform_coefficients,
 )
 
 import reference_solver as ref
@@ -41,19 +44,84 @@ def supports(draw, max_points=8):
 
 
 @settings(max_examples=200, deadline=None)
-@given(supports(), st.sampled_from(["torus_16", "moebius_12", "sphere2_8", "projective_plane_11"]))
-def test_support_check_matches_reference(mat, name):
+@given(supports(), st.sampled_from(["torus_16", "moebius_12", "sphere2_8", "projective_plane_11"]),
+       st.randoms(use_true_random=False))
+def test_support_check_matches_reference(mat, name, order):
     """A random support on the first points of a catalog space, padded
-    with zeros: ``bind`` names the same first pair as the loop."""
+    with zeros: ``bind``, and ``bind_entries`` on its nonzero entries in
+    a random order, name the same first pair as the loop."""
     space = catalog.space(name)
     full = np.zeros((len(space.points), len(space.points)))
     full[:len(mat), :len(mat)] = mat
+    points = space.points
+    entries = [(points[i], points[j], full[i, j]) for i, j in zip(*np.nonzero(full))]
+    order.shuffle(entries)
     expected = ref.first_pair_off_balls(space, full)
-    if expected is None:
-        bind(space, full)
+    for build in (lambda: bind(space, full), lambda: bind_entries(space, entries)):
+        if expected is None:
+            build()
+        else:
+            with pytest.raises(SupportError, match=r"^coefficient \(%d,%d\) " % expected):
+                build()
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+PLANE_PATCHES = {"patch_3x3": (3, 3), "patch_4x7": (4, 7), "patch_10x10": (10, 10)}
+
+
+@pytest.mark.parametrize("name", catalog.names() + list(PLANE_PATCHES))
+def test_uniform_coefficients_match_reference(name):
+    """A float diagonal and a per-point dict diagonal give the matrix of
+    the edge-by-edge fill."""
+    if name in PLANE_PATCHES:
+        space = catalog.digital_plane_patch(*PLANE_PATCHES[name]).space
     else:
-        with pytest.raises(SupportError, match=r"^coefficient \(%d,%d\) " % expected):
-            bind(space, full)
+        space = catalog.space(name)
+    rng = np.random.default_rng(len(space.points))
+    diag = {p: float(v) for p, v in zip(space.points, rng.random(len(space.points)))}
+    for offdiag, d in ((0.1, 0.4), (0.01, diag)):
+        assert_bitwise_equal(uniform_coefficients(space, offdiag, d).matrix,
+                             ref.uniform_matrix(space, offdiag, d))
+
+
+def test_network_coefficients_match_reference():
+    c = experiments.network_coefficients()
+    assert_bitwise_equal(c.matrix, ref.network_matrix(
+        c.space, experiments._NETWORK_FLOWS, experiments._NETWORK_DIAG))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["torus_16", "moebius_12", "sphere2_8", "s2_min"]), st.data())
+def test_problem_entries_match_reference(name, data):
+    """Problem JSON ``entries`` with repeated pairs (the later weight
+    wins, even when it is zero) and zero weights off the balls, which
+    are accepted: the matrix of the entry-by-entry fill."""
+    space = catalog.space(name)
+    pair = st.tuples(st.sampled_from(space.points), st.sampled_from(space.points))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=30))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=5))
+    weight = st.floats(-2, 2) | st.just(0.0)
+    entries = [[p, k, data.draw(weight) if p == k or space.has_edge(p, k) else 0.0]
+               for p, k in pairs]
+    problem = problem_from_json_dict({"space": name, "coefficients": {"entries": entries},
+                                      "initial": [0.0] * len(space.points)})
+    assert_bitwise_equal(problem.coefficients.matrix,
+                         ref.entries_matrix(problem.space, entries))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2 ** 32 - 1])
+def test_random_diffusion_matches_reference(seed):
+    """``digital-pde properties`` draws the same coefficients, column by
+    column, as the loop that filled its matrix in place."""
+    for name in catalog.names():
+        space = catalog.space(name)
+        got = cli._random_diffusion(space, np.random.default_rng(seed))
+        assert_bitwise_equal(got.matrix, ref.random_diffusion_matrix(
+            space, np.random.default_rng(seed)))
 
 
 @settings(max_examples=500, deadline=None)

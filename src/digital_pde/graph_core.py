@@ -127,11 +127,7 @@ class DigitalSpace:
     # -- transformations (always return new values) ----------------------
 
     def delete_point(self, v) -> "DigitalSpace":
-        if v not in self._adj:
-            raise UnknownPointError(f"unknown point {v}")
-        pts = tuple(p for p in self.points if p != v)
-        edges = [e for e in self.edges if v not in e]
-        return DigitalSpace(pts, edges, name=self.name)
+        return self.delete_points((v,))
 
     def delete_points(self, vs: Iterable[int]) -> "DigitalSpace":
         gone = set(vs)
@@ -162,16 +158,7 @@ class DigitalSpace:
                             name=self.name)
 
     def is_connected(self) -> bool:
-        if not self.points:
-            return True
-        seen = {self.points[0]}
-        stack = [self.points[0]]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.points)
+        return len(self.connected_components()) <= 1
 
     def connected_components(self):
         seen = set()

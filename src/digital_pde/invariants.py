@@ -10,7 +10,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .graph_core import DigitalSpace
 
@@ -120,76 +120,47 @@ def boundary_matrix(cx: CliqueComplex, k: int) -> List[List[int]]:
     return mat
 
 
+def _least(m: List[List[int]]) -> Tuple[List[int], int]:
+    """A row of m and the column of its least nonzero |entry|, least over m;
+    a unit is taken from the first row that has one."""
+    unit = next((row for row in m if 1 in row or -1 in row), None)
+    v, row = (1, unit) if unit else min((min(map(abs, filter(None, r))), r) for r in m)
+    return row, row.index(v) if v in row else row.index(-v)
+
+
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:
     """Elementary divisors d1 | d2 | ... of an integer matrix.
 
-    Exact integer row/column elimination; returns only the nonzero
-    divisors, each positive, in divisibility order.
+    Exact integer elimination that pivots on an entry of least absolute
+    value (Kaczynski, Mischaikow and Mrozek, *Computational Homology*,
+    2004).  Each pass either records a divisor and drops its row, or
+    leaves a nonzero entry smaller than the pivot, so the loop always
+    terminates.  Returns the nonzero divisors, each positive, in
+    divisibility order.
     """
-    m = [list(map(int, row)) for row in matrix]
-    if not m or not m[0]:
-        return []
-    rows, cols = len(m), len(m[0])
+    m = [[int(x) for x in row] for row in matrix]
     divisors: List[int] = []
-    top = 0
-    while top < rows and top < cols:
-        # Locate a pivot of minimal absolute value in the active block.
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
+    while m := [row for row in m if any(row)]:
+        pivot, j = _least(m)
+        p = pivot[j]
         for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            # Clear the pivot column, then the pivot row.
-            changed = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                    changed = True
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for i in range(top, rows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for i in range(top, rows):
-                            m[i][top], m[i][j] = m[i][j], m[i][top]
-                    changed = True
-            if not changed:
-                break
-        # Enforce divisibility: fold in any entry the pivot does not divide.
-        d = m[top][top]
-        retry = False
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % d:
-                    for jj in range(top, cols):
-                        m[top][jj] += m[i][jj]
-                    retry = True
-                    break
-            if retry:
-                break
-        if retry:
-            continue
-        divisors.append(abs(d))
-        top += 1
+            if row[j] and row is not pivot:
+                q = row[j] // p
+                row[:] = [a - q * b for a, b in zip(row, pivot)]
+        if any(row[j] for row in m if row is not pivot):
+            continue  # a remainder smaller than |p| is left in column j
+        # Column j is p times a unit vector, so column operations change only
+        # the pivot row: they clear it when p divides every entry.  Otherwise
+        # add in a row p does not divide, unless the pivot row is one; reduce mod p.
+        rows = (pivot, *m) if abs(p) > 1 else ()
+        bad = next((r for r in rows if any(x % p for x in r)), None)
+        if bad is None:
+            divisors.append(abs(p))
+            pivot.clear()
+        else:
+            pivot[:] = [x % p for x in bad]
+            pivot[j] = p
     return divisors
-
-
-def _rank_and_torsion(divisors: List[int]) -> Tuple[int, List[int]]:
-    return len(divisors), [d for d in divisors if d > 1]
 
 
 def homology(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> HomologyProfile:
@@ -202,12 +173,10 @@ def homology(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> HomologyProfile
     """
     cx = _whole_complex(g, max_dim)
     top = cx.max_dim
-    ranks: Dict[int, int] = {0: 0, top + 1: 0}
-    torsion_of: Dict[int, List[int]] = {top + 1: []}
-    for k in range(1, top + 1):
-        ranks[k], torsion_of[k] = _rank_and_torsion(smith_normal_form(boundary_matrix(cx, k)))
-    betti = [cx.count(k) - ranks[k] - ranks[k + 1] for k in range(top + 1)]
-    torsion = [torsion_of[k + 1] for k in range(top + 1)]
+    divisors = [[]] + [smith_normal_form(boundary_matrix(cx, k))
+                       for k in range(1, top + 1)] + [[]]
+    betti = [cx.count(k) - len(divisors[k]) - len(divisors[k + 1]) for k in range(top + 1)]
+    torsion = [[d for d in divisors[k + 1] if d > 1] for k in range(top + 1)]
     chi = cx.euler_characteristic()
     alt = sum((-1) ** k * b for k, b in enumerate(betti))
     if chi != alt:

@@ -29,8 +29,9 @@ from typing import Dict
 import numpy as np
 
 from . import catalog
-from .graph_core import DigitalSpace, UnknownPointError
-from .solver import CoefficientMatrix, Problem, Trajectory, bind_entries, uniform_coefficients
+from .graph_core import DigitalSpace
+from .solver import (CoefficientMatrix, Problem, SupportError, Trajectory, bind_entries,
+                     uniform_coefficients)
 
 
 class ProblemFormatError(ValueError):
@@ -56,6 +57,19 @@ def _steps(value, name: str) -> int:
     return int(value)
 
 
+def _known(space: DigitalSpace, p) -> bool:
+    """Whether a JSON value names a point of space; a list or an object names none."""
+    return not isinstance(p, (list, dict)) and p in space
+
+
+def _label(key, name: str) -> int:
+    """A JSON object key as an integer point label."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise ProblemFormatError(f"{name}: bad point label {key!r}")
+
+
 def _load_space(spec) -> DigitalSpace:
     if isinstance(spec, str):
         try:
@@ -74,21 +88,28 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
     if not isinstance(spec, dict):
         raise ProblemFormatError("coefficients: expected an object")
     if "entries" in spec:
+        if not isinstance(spec["entries"], list):
+            raise ProblemFormatError("coefficients.entries: expected a list of [p, k, value]")
         entries = []
         for item in spec["entries"]:
             try:
                 p, k, v = item
             except (TypeError, ValueError):
                 raise ProblemFormatError(f"coefficients.entries: bad entry {item!r}")
+            for point in (p, k):
+                if not _known(space, point):
+                    raise ProblemFormatError(f"coefficients.entries: unknown point {point!r}")
             entries.append((p, k, _finite(v, "coefficients.entries")))
         try:
             return bind_entries(space, entries)
-        except UnknownPointError as exc:
+        except SupportError as exc:
             raise ProblemFormatError(f"coefficients.entries: {exc.args[0]}")
     if "uniform_offdiag" in spec:
         offdiag = _finite(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
         if "diag_map" in spec:
-            diag = {int(p): _finite(v, "coefficients.diag_map")
+            if not isinstance(spec["diag_map"], dict):
+                raise ProblemFormatError("coefficients.diag_map: expected an object")
+            diag = {_label(p, "coefficients.diag_map"): _finite(v, "coefficients.diag_map")
                     for p, v in spec["diag_map"].items()}
             missing = set(space.points) - set(diag)
             if missing:
@@ -110,7 +131,7 @@ def _load_initial(space: DigitalSpace, spec) -> np.ndarray:
         return np.array([_finite(v, "initial") for v in spec])
     if isinstance(spec, dict):
         point = spec.get("point")
-        if point not in space:
+        if not _known(space, point):
             raise ProblemFormatError(f"initial.point: unknown point {point!r}")
         rest = _finite(spec.get("rest", 0.0), "initial.rest")
         values = np.full(n, rest)
@@ -127,13 +148,18 @@ def problem_from_json_dict(d: dict) -> Problem:
     boundary_points = None
     boundary_values = None
     if boundary:
+        if not isinstance(boundary, dict):
+            raise ProblemFormatError("boundary: expected an object or null")
         points = boundary.get("points", [])
         values = boundary.get("values", [])
+        for field, value in (("points", points), ("values", values)):
+            if not isinstance(value, list):
+                raise ProblemFormatError(f"boundary.{field}: expected a list, got {value!r}")
         if len(points) != len(values):
             raise ProblemFormatError("boundary: points and values lengths differ")
-        unknown = set(points) - set(space.points)
+        unknown = [p for p in points if not _known(space, p)]
         if unknown:
-            raise ProblemFormatError(f"boundary.points: unknown {sorted(unknown)}")
+            raise ProblemFormatError(f"boundary.points: unknown {unknown}")
         if len(set(points)) != len(points):
             raise ProblemFormatError(f"boundary.points: repeated points in {points}")
         clamp: Dict[int, float] = {p: _finite(v, "boundary.values")

@@ -38,3 +38,20 @@ def test_tracer_installs_and_uninstalls(spans):
 def test_workload_names_exist():
     from digital_pde import topology
     assert callable(topology.clear_caches)
+
+
+def test_tracer_sees_homology_layers(spans):
+    """homology calls boundary_matrix and smith_normal_form through its
+    module's names, so the tracer counts them; an inlined or aliased
+    call would read as zero calls in the per-layer metrics."""
+    from digital_pde import catalog, invariants
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        invariants.homology(catalog.space("klein_bottle_16"))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["invariants.homology"]["calls"] == 1
+    assert totals["invariants.boundary_matrix"]["calls"] == 2
+    assert totals["invariants.smith_normal_form"]["calls"] == 2

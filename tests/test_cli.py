@@ -159,6 +159,13 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", str(path)])
         assert result.exit_code == 2
 
+    def test_entries_off_the_balls_exit_2(self, runner, tmp_path):
+        problem = klein_problem(
+            tmp_path, coefficients={"entries": [[1, 1, 1.0], [2, 9, 0.5]]})
+        result = runner.invoke(main, ["solve", problem])
+        assert result.exit_code == 2
+        assert "error: coefficients.entries: coefficient (2,9)" in result.output
+
     def test_solve_bad_points_exit_2(self, runner, tmp_path):
         problem = klein_problem(tmp_path)
         result = runner.invoke(main, ["solve", problem, "--points", "1,99"])

@@ -1,9 +1,15 @@
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import digital_pde
 from digital_pde.graph_core import DigitalSpace
 from digital_pde.invariants import (
     boundary_matrix,
@@ -35,6 +41,37 @@ def exact_rank(matrix):
         rank += 1
         row += 1
     return rank
+
+
+def determinant(m):
+    """Leibniz formula; exact on Python integers."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def determinantal_divisors(matrix):
+    """Independent SNF oracle: d1 * ... * dk is the gcd of the k x k minors."""
+    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
+    divisors, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        g = math.gcd(*(determinant([[matrix[i][j] for j in cs] for i in rs])
+                       for rs in combinations(range(rows), k)
+                       for cs in combinations(range(cols), k)))
+        if g == 0:
+            break
+        divisors.append(g // previous)
+        previous = g
+    return divisors
+
+
+# A matrix on which the earlier Euclid loop ran for more than 20 s, its
+# entries growing past 100,000 bits.
+RUNAWAY = [[4, 6, -1, 0, 6, 0, 0], [-9, -3, -9, 12, 12, 0, -6], [4, 2, 1, -9, 2, -9, 0],
+           [1, -6, 1, 1, 0, 6, 4], [0, 0, 2, 6, 4, 0, -1], [6, -1, -9, 0, 6, 2, 6],
+           [1, -6, 6, -6, -1, 4, 0], [-6, -3, 2, -6, 1, -1, 0]]
 
 
 class TestCliqueComplex:
@@ -104,6 +141,27 @@ class TestSmithNormalForm:
         assert all(d > 0 for d in divisors)
         for a, b in zip(divisors, divisors[1:]):
             assert b % a == 0
+
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(min_value=-12, max_value=12),
+                                       min_size=cols, max_size=cols),
+                              min_size=1, max_size=5)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_determinantal_divisors(self, matrix):
+        assert smith_normal_form(matrix) == determinantal_divisors(matrix)
+
+    def test_runaway_matrix_terminates(self):
+        # A subprocess, so that a loop that does not terminate fails the
+        # test instead of hanging the suite.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(digital_pde.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("from digital_pde.invariants import smith_normal_form; "
+                f"print(smith_normal_form({RUNAWAY!r}))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=10,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[1, 1, 1, 1, 1, 1, 3]"
 
 
 class TestHomology:

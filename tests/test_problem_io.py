@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,27 @@ class TestRejectsBadNumbers:
         with pytest.raises(ProblemFormatError, match="boundary.points: repeated"):
             problem_from_json_dict(klein_problem_dict(
                 boundary={"points": [1, 1], "values": [1, 5]}))
+
+
+class TestRejectsMalformedFields:
+    """Each malformed field is refused with its name, never with a
+    TypeError or AttributeError from deeper in the loader."""
+
+    @pytest.mark.parametrize("key, value, field", [
+        ("initial", {"point": [1], "value": 1.0}, "initial.point"),
+        ("boundary", [1, 2], "boundary"),
+        ("boundary", {"points": 5, "values": [1.0]}, "boundary.points"),
+        ("boundary", {"points": [[1]], "values": [1.0]}, "boundary.points"),
+        ("coefficients", {"entries": 5}, "coefficients.entries"),
+        ("coefficients", {"entries": [[[1], 1, 1.0]]}, "coefficients.entries"),
+        ("coefficients", {"uniform_offdiag": 0.1, "diag_map": [1, 2]},
+         "coefficients.diag_map"),
+        ("coefficients", {"uniform_offdiag": 0.1, "diag_map": {"a": 1}},
+         "coefficients.diag_map"),
+    ])
+    def test_field_named(self, key, value, field):
+        with pytest.raises(ProblemFormatError, match=f"^{re.escape(field)}: "):
+            problem_from_json_dict(klein_problem_dict(**{key: value}))
 
 
 class TestTrajectoryCsv:

@@ -39,8 +39,12 @@ class ProblemFormatError(ValueError):
 
 
 def _finite(value, name: str) -> float:
-    """``value`` as a finite float, or a ProblemFormatError naming the field."""
+    """``value`` as a finite float, or a ProblemFormatError naming the
+    field.  JSON ``true`` and strings are not numbers, though ``float``
+    would take them."""
     try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise ProblemFormatError(f"{name}: expected a number, got {value!r}")
@@ -58,8 +62,9 @@ def _steps(value, name: str) -> int:
 
 
 def _known(space: DigitalSpace, p) -> bool:
-    """Whether a JSON value names a point of space; a list or an object names none."""
-    return not isinstance(p, (list, dict)) and p in space
+    """Whether a JSON value names a point of space.  Only an integer does:
+    ``true`` and ``1.0`` equal the point 1 but are not labels."""
+    return isinstance(p, int) and not isinstance(p, bool) and p in space
 
 
 def _label(key, name: str) -> int:
@@ -115,6 +120,10 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
             if missing:
                 raise ProblemFormatError(
                     f"coefficients.diag_map: missing points {sorted(missing)}")
+            unknown = set(diag) - set(space.points)
+            if unknown:
+                raise ProblemFormatError(
+                    f"coefficients.diag_map: unknown points {sorted(unknown)}")
         elif "diag" in spec:
             diag = _finite(spec["diag"], "coefficients.diag")
         else:

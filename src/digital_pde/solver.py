@@ -42,57 +42,110 @@ class DivergenceError(RuntimeError):
 class CoefficientMatrix:
     """Coefficients bound to a space, constant or time-dependent.
 
-    ``matrix`` is the t=0 matrix; ``rule`` (if given) produces C(t)
-    for any step.  Both are checked against the balls of ``space``:
-    ``matrix`` here, every C(t) when ``at`` returns it.  The object owns
-    ``matrix`` and makes it read-only, so it stays as checked.  ``index``
-    maps a point to its row.
+    C(0) is stored as its nonzero entries, one per pair, in row-major
+    order: C[rows[i], cols[i]] == data[i], and every other entry is zero.
+    ``rule`` (if given) produces C(t) as an n x n array for any step.
+    Both are checked against the balls of ``space``: the pairs here,
+    every C(t) when ``at`` returns it.  The object makes the three arrays
+    read-only, so they stay as checked.  ``index`` maps a point to its
+    row.  Build one with ``bind`` or ``bind_entries``; ``toarray`` gives
+    the dense matrix.
     """
 
     space: DigitalSpace
-    matrix: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
     rule: Optional[MatrixRule] = None
     index: Dict[int, int] = field(init=False, repr=False)
+    _balls: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {p: i for i, p in enumerate(self.space.points)}
-        self._check_support(self.matrix)
-        self.matrix.flags.writeable = False
-
-    def _check_support(self, matrix: np.ndarray) -> None:
-        """Refuse a matrix of the wrong shape, or one that is nonzero off
-        the balls (naming the first such pair, row-major)."""
         n = self.n
-        if np.shape(matrix) != (n, n):
-            raise ValueError(f"matrix shape {np.shape(matrix)} does not match {n} points")
-        points, neighbors = self.space.points, self.space.neighbors
-        for key in np.flatnonzero(matrix).tolist():
-            i, j = divmod(key, n)
-            if i != j and points[j] not in neighbors(points[i]):
-                raise SupportError(f"coefficient ({points[i]},{points[j]}) "
-                                   "is nonzero but the points are not adjacent")
+        # Flat keys i * n + j of the pairs on the balls, ascending: the
+        # diagonal and both directions of every edge.  Sorted in Python:
+        # numpy's sort maps about 0.5 MB of code, 1.5% of a small run's
+        # peak memory.
+        ends = [(self.index[u], self.index[v]) for u, v in self.space.edges]
+        balls = [i * (n + 1) for i in range(n)]
+        balls += [i * n + j for i, j in ends] + [j * n + i for i, j in ends]
+        self._balls = np.array(sorted(balls), dtype=np.intp)
+        rows = np.array(self.rows, dtype=np.intp)
+        cols = np.array(self.cols, dtype=np.intp)
+        data = np.array(self.data, dtype=float)
+        if not rows.shape == cols.shape == data.shape == (data.size,):
+            raise ValueError("rows, cols and data must be 1-D and of one length")
+        keys = np.ravel_multi_index((rows, cols), (n, n))  # refuses an index out of range
+        if not ((keys[1:] > keys[:-1]).all() and data.all()):
+            raise ValueError("rows, cols and data must list nonzero entries, "
+                             "one per pair, in row-major order")
+        self._check_support(keys)
+        self.rows, self.cols, self.data = rows, cols, data
+        for array in (rows, cols, data):
+            array.flags.writeable = False
+
+    def _check_support(self, keys: np.ndarray) -> None:
+        """Refuse flat keys i * n + j off the balls, naming the first such
+        pair in row-major order (the keys are sorted)."""
+        balls = self._balls
+        off = balls.take(np.searchsorted(balls, keys), mode="clip") != keys
+        if off.any():
+            i, j = divmod(int(keys[off.argmax()]), self.n)
+            points = self.space.points
+            raise SupportError(f"coefficient ({points[i]},{points[j]}) "
+                               "is nonzero but the points are not adjacent")
 
     @property
     def n(self) -> int:
         return len(self.space.points)
 
-    def at(self, t: int) -> np.ndarray:
+    def at(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rows``, ``cols`` and ``data`` of C(t)."""
         if self.rule is None:
-            return self.matrix
-        mat = self.rule(t)
-        self._check_support(mat)
+            return self.rows, self.cols, self.data
+        keys, data = _nonzero(self.rule(t), self.n)
+        self._check_support(keys)
+        rows, cols = np.divmod(keys, self.n)
+        return rows, cols, data
+
+    def toarray(self) -> np.ndarray:
+        """C(0) as a new dense n x n array."""
+        mat = np.zeros((self.n, self.n))
+        mat[self.rows, self.cols] = self.data
         return mat
+
+
+def _nonzero(matrix: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat keys i * n + j, ascending, and values of the nonzero entries of
+    an n x n array."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
+    flat = matrix.ravel()
+    keys = np.flatnonzero(flat != 0)
+    return keys, flat[keys]
+
+
+def _times(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+           f: np.ndarray) -> np.ndarray:
+    """C f over the stored pairs of C: row i sums data * f[cols] over its pairs."""
+    return np.bincount(rows, data * f[cols], minlength=len(f))
 
 
 def bind(space: DigitalSpace, matrix: np.ndarray,
          rule: Optional[MatrixRule] = None) -> CoefficientMatrix:
-    """Validate a copy of ``matrix`` against the space and bind it.
+    """Validate the n x n array ``matrix`` against the space and bind its
+    nonzero entries.
 
     Rows/columns follow the point order of ``space``.  Directed
     support is fine (C[p,k] != C[k,p]); support outside the ball
     structure is rejected naming the offending pair.
     """
-    return CoefficientMatrix(space=space, matrix=np.array(matrix, dtype=float), rule=rule)
+    n = len(space.points)
+    keys, data = _nonzero(matrix, n)
+    rows, cols = np.divmod(keys, n)
+    return CoefficientMatrix(space=space, rows=rows, cols=cols, data=data, rule=rule)
 
 
 def bind_entries(space: DigitalSpace,
@@ -103,17 +156,14 @@ def bind_entries(space: DigitalSpace,
     checked as in ``bind``."""
     index = {p: i for i, p in enumerate(space.points)}
     n = len(index)
-    # Start the matrix on a 64-byte boundary: at n = 400 the
-    # matrix-vector product ran about 1.3x slower from a 16 mod 32 start.
-    buf = np.zeros(n * n + 8)
-    start = (-buf.ctypes.data % 64) // 8
-    mat = buf[start:start + n * n].reshape(n, n)
     try:
         cells = {index[p] * n + index[k]: v for p, k, v in entries}
     except KeyError as exc:
         raise UnknownPointError(f"unknown point {exc.args[0]}") from None
-    np.put(mat, list(cells), list(cells.values()))
-    return CoefficientMatrix(space=space, matrix=mat)
+    keys = sorted(key for key, v in cells.items() if v != 0)
+    rows, cols = np.divmod(np.array(keys, dtype=np.intp), n)
+    return CoefficientMatrix(space=space, rows=rows, cols=cols,
+                             data=[cells[key] for key in keys])
 
 
 def uniform_coefficients(space: DigitalSpace, offdiag: float,
@@ -128,10 +178,10 @@ def uniform_coefficients(space: DigitalSpace, offdiag: float,
 def is_diffusion(c: CoefficientMatrix) -> bool:
     """Nonnegative entries, every column summing to one (within
     ``DIFFUSION_TOL``)."""
-    mat = c.matrix
-    if (mat < 0).any():
+    if (c.data < 0).any():
         return False
-    return bool(np.all(np.abs(mat.sum(axis=0) - 1.0) <= DIFFUSION_TOL))
+    sums = np.bincount(c.cols, c.data, minlength=c.n)
+    return bool(np.all(np.abs(sums - 1.0) <= DIFFUSION_TOL))
 
 
 @dataclass
@@ -199,8 +249,10 @@ class Trajectory:
 
 def step(f: np.ndarray, c: CoefficientMatrix, t: int,
          g: Optional[np.ndarray] = None) -> np.ndarray:
-    """One explicit update f(t) -> f(t+1): matrix-vector product plus source."""
-    nxt = c.at(t) @ f
+    """One explicit update f(t) -> f(t+1): C(t) f over its stored pairs,
+    plus source."""
+    rows, cols, data = c.at(t)
+    nxt = _times(rows, cols, data, f)
     if g is not None:
         nxt = nxt + g
     return nxt
@@ -227,21 +279,24 @@ def _iterate(problem: Problem) -> Trajectory:
     if rows:
         _clamp(f, problem, rows, 0)
     record = [f]
-    norms = [float(np.abs(f).sum())]
+    # 1-norms by np.add.reduce: the sum ndarray.sum computes, without its
+    # Python wrapper (two calls a step, about 6% of a step at n = 16).
+    total, absolute = np.add.reduce, np.abs
+    norms = [float(total(absolute(f)))]
     guard = BLOWUP_FACTOR * max(norms[0], 1.0)
     converged = False
+    source, tol = problem.source, problem.tol
     for t in range(problem.steps):
-        g = problem.source(t) if problem.source is not None else None
-        nxt = step(f, c, t, g)
+        nxt = step(f, c, t, None if source is None else source(t))
         if rows:
             _clamp(nxt, problem, rows, t + 1)
         record.append(nxt)
-        norm = float(np.abs(nxt).sum())
+        norm = float(total(absolute(nxt)))
         norms.append(norm)
         if not norm <= guard:
             raise DivergenceError(
                 f"norm {norm:.3g} exceeded blow-up guard at step {t + 1}")
-        converged = float(np.abs(nxt - f).sum()) < problem.tol
+        converged = float(total(absolute(nxt - f))) < tol
         f = nxt
         if converged:
             break
@@ -278,14 +333,17 @@ def stability_bound_check(c: CoefficientMatrix) -> bool:
     A failing check says nothing about divergence; diffusion matrices
     routinely fail it and still converge.
     """
-    return float(np.abs(c.at(0)).max()) < 1.0 / c.n
+    _, _, data = c.at(0)
+    return float(np.abs(data).max(initial=0.0)) < 1.0 / c.n
 
 
 def is_irreducible(c: CoefficientMatrix) -> bool:
     """The directed support graph is strongly connected."""
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
 
-    ncomp, _ = connected_components(c.matrix != 0, directed=True, connection="strong")
+    support = csr_array((np.ones(len(c.data)), (c.rows, c.cols)), shape=(c.n, c.n))
+    ncomp, _ = connected_components(support, directed=True, connection="strong")
     return ncomp == 1
 
 
@@ -298,14 +356,14 @@ def is_primitive(c: CoefficientMatrix) -> bool:
     the gcd of those terms over all arcs is the period of the support
     graph.  A nonzero diagonal entry gives a term of 1.
     """
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import shortest_path
 
     if not is_irreducible(c):
         return False
-    support = c.matrix != 0
+    support = csr_array((np.ones(len(c.data)), (c.rows, c.cols)), shape=(c.n, c.n))
     level = shortest_path(support, unweighted=True, indices=0).astype(np.int64)
-    rows, cols = np.nonzero(support)
-    return int(np.gcd.reduce(level[rows] + 1 - level[cols])) == 1
+    return int(np.gcd.reduce(level[c.rows] + 1 - level[c.cols])) == 1
 
 
 @dataclass
@@ -334,13 +392,22 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     irreducible = is_irreducible(c)
     if not is_primitive(c):
         return SpectralReport(irreducible, False, None, None, float("inf"))
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import spsolve
+
+    # C - I with its last row replaced by ones; entries given twice
+    # (C[i,i] and -1) are summed.
     n = c.n
-    system = c.matrix - np.eye(n)
-    system[-1, :] = 1.0
+    kept = c.rows < n - 1
+    diag = np.arange(n - 1)
+    system = csc_array((np.concatenate((c.data[kept], -np.ones(n - 1), np.ones(n))),
+                        (np.concatenate((c.rows[kept], diag, np.full(n, n - 1))),
+                         np.concatenate((c.cols[kept], diag, np.arange(n))))),
+                       shape=(n, n))
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    column = np.linalg.solve(system, rhs)
-    residual = float(np.abs(c.matrix @ column - column).max())
+    column = np.atleast_1d(spsolve(system, rhs))
+    residual = float(np.abs(_times(c.rows, c.cols, c.data, column) - column).max())
     if residual > 1e-9:
         raise AssertionError(
             f"stationary column of a primitive matrix is not fixed (residual {residual:.3g})")
@@ -365,7 +432,7 @@ def elliptic_residual(c: CoefficientMatrix, f: np.ndarray,
     value problems, where clamped points are not expected to balance).
     """
     f = np.asarray(f, dtype=float)
-    diff = f - c.matrix @ f
+    diff = f - _times(c.rows, c.cols, c.data, f)
     if points is not None:
         rows = [c.index[p] for p in points]
         diff = diff[rows]

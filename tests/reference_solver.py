@@ -6,7 +6,9 @@ when some power of its 0/1 pattern is entrywise positive, checked for
 every power up to the Wielandt bound (n - 1)^2 + 1, and the limit of
 C^t is found by squaring C until two squares agree.  The time loop keeps
 one (t, values) state per step and recomputes convergence from the last
-two states.  The coefficient fills are the per-entry loops that each
+two states; it takes each product from ``digital_pde.solver.step``,
+which ``test_stored_pairs_match_dense_reference`` checks against the
+dense product.  The coefficient fills are the per-entry loops that each
 caller of the solver once ran on its own n x n array.  Dense and slow;
 the tests compare ``digital_pde`` against it on small inputs.
 """
@@ -17,6 +19,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
+
+from digital_pde.solver import step
 
 
 def uniform_matrix(space, offdiag: float, diag) -> np.ndarray:
@@ -82,6 +86,17 @@ def first_pair_off_balls(space, mat: np.ndarray):
     return None
 
 
+def is_diffusion(mat: np.ndarray, tol: float = 1e-12) -> bool:
+    """Nonnegative, every column summing to one within ``tol``."""
+    return bool((mat >= 0).all() and np.all(np.abs(mat.sum(axis=0) - 1.0) <= tol))
+
+
+def elliptic_residual(mat: np.ndarray, f: np.ndarray, rows=None) -> float:
+    """1-norm of f - C f, over ``rows`` when given."""
+    diff = f - mat @ f
+    return float(np.abs(diff if rows is None else diff[rows]).sum())
+
+
 def is_irreducible(mat: np.ndarray) -> bool:
     """The directed support graph is strongly connected."""
     n = mat.shape[0]
@@ -141,9 +156,8 @@ def trajectory(problem) -> Tuple[List[np.ndarray], List[float], List[float], boo
     states = [(0, values)]
     for _ in range(problem.steps):
         t, f = states[-1]
-        nxt = problem.coefficients.at(t) @ f
-        if problem.source is not None:
-            nxt = nxt + problem.source(t)
+        g = problem.source(t) if problem.source is not None else None
+        nxt = step(f, problem.coefficients, t, g)
         clamp(nxt, t + 1)
         states.append((t + 1, nxt))
         if float(np.abs(nxt - f).sum()) < problem.tol:

@@ -261,7 +261,7 @@ def test_criterion_09_theorem_property_suites(capsys):
         if not report.primitive:
             failures.append(f"limit case {case}: matrix not primitive")
             break
-        if float(np.abs(c.matrix @ report.limit - report.limit).max()) >= 1e-9:
+        if float(np.abs(c.toarray() @ report.limit - report.limit).max()) >= 1e-9:
             failures.append(f"limit case {case}: C C_inf != C_inf")
             break
         total = float(rng.uniform(1.0, 20.0))

@@ -55,3 +55,22 @@ def test_tracer_sees_homology_layers(spans):
     assert totals["invariants.homology"]["calls"] == 1
     assert totals["invariants.boundary_matrix"]["calls"] == 2
     assert totals["invariants.smith_normal_form"]["calls"] == 2
+
+
+def test_tracer_counts_one_step_per_scheme_step(spans):
+    """``_iterate`` calls ``step`` through the module's name once per
+    step, so ``solver.step.calls`` counts the steps a run took."""
+    import numpy as np
+
+    from digital_pde import catalog, solver
+    space = catalog.digital_plane_patch(10, 10).space
+    coeffs = solver.uniform_coefficients(space, 0.1, {p: 1.0 - 0.1 * space.degree(p)
+                                                      for p in space.points})
+    problem = solver.Problem(space, coeffs, np.ones(len(space.points)), steps=30, tol=0.0)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        solver.solve_ivp(problem)
+    finally:
+        tracer.uninstall()
+    assert tracer.totals()["solver.step"]["calls"] == 30

@@ -166,6 +166,18 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert "error: coefficients.entries: coefficient (2,9)" in result.output
 
+    @pytest.mark.parametrize("override, message", [
+        ({"coefficients": {"uniform_offdiag": 0.1,
+                           "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"99": 0.4})}},
+         "error: coefficients.diag_map: unknown points [99]"),
+        ({"boundary": {"points": [1.0], "values": [1.0]}}, "error: boundary.points: unknown [1.0]"),
+        ({"tol": True}, "error: tol: expected a number, got True"),
+    ], ids=["diag-map-key", "float-point", "true-number"])
+    def test_malformed_labels_and_numbers_exit_2(self, runner, tmp_path, override, message):
+        result = runner.invoke(main, ["solve", klein_problem(tmp_path, **override)])
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_solve_bad_points_exit_2(self, runner, tmp_path):
         problem = klein_problem(tmp_path)
         result = runner.invoke(main, ["solve", problem, "--points", "1,99"])

@@ -1,8 +1,9 @@
-"""The bundled experiments and catalog verification run without
-importing ``scipy.sparse``.  That import costs about 0.2 s and 20 MB of
-resident memory, more than the whole start-up of a small run, so only
-the support-graph verdicts (``is_irreducible``, ``is_primitive``) may
-pull it in, and only when called."""
+"""The bundled experiments, catalog verification and a plain solve
+run without importing ``scipy.sparse``.  That import costs about 0.2 s
+and 20 MB of resident memory, more than the whole start-up of a small
+run, so only the support-graph verdicts (``is_irreducible``,
+``is_primitive``) and ``limit_matrix`` may pull it in, and only when
+called."""
 
 import os
 import subprocess
@@ -13,10 +14,15 @@ import digital_pde
 SCRIPT = """
 import sys
 import digital_pde
-from digital_pde import catalog, experiments
+import numpy as np
+from digital_pde import catalog, experiments, solver
 for exp_id in experiments.EXPERIMENT_IDS:
     experiments.run(exp_id)
 catalog.verify_all()
+space = catalog.digital_plane_patch(40, 40).space
+coeffs = solver.uniform_coefficients(space, 0.1, {p: 1.0 - 0.1 * space.degree(p)
+                                                  for p in space.points})
+solver.solve_ivp(solver.Problem(space, coeffs, np.ones(len(space.points)), steps=30, tol=0.0))
 print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
 """
 

@@ -55,7 +55,7 @@ class TestCoefficientsField:
                                       [1, 2, 0.5], [2, 2, 0.5]]},
             initial=[2.0, 0.0])
         p = problem_from_json_dict(d)
-        np.testing.assert_array_equal(p.coefficients.matrix, 0.5)
+        np.testing.assert_array_equal(p.coefficients.toarray(), 0.5)
 
     def test_entries_unknown_point(self):
         d = klein_problem_dict(coefficients={"entries": [[1, 99, 0.1]]})
@@ -69,7 +69,7 @@ class TestCoefficientsField:
                                              "diag_map": diag_map},
                                initial={"point": 1, "value": 11.0})
         p = problem_from_json_dict(d)
-        assert p.coefficients.matrix[0, 0] == 0.5
+        assert p.coefficients.toarray()[0, 0] == 0.5
 
     def test_diag_map_missing_point(self):
         d = klein_problem_dict(
@@ -152,7 +152,7 @@ class TestRejectsBadNumbers:
     def test_integral_float_steps_accepted(self):
         assert problem_from_json_dict(klein_problem_dict(steps=3.0)).steps == 3
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), True, "1e-10"])
     def test_tol(self, tol):
         with pytest.raises(ProblemFormatError, match="tol"):
             problem_from_json_dict(klein_problem_dict(tol=tol))
@@ -180,6 +180,7 @@ class TestRejectsBadNumbers:
         ({"point": 1, "value": float("inf")}, "initial.value"),
         ({"point": 1, "value": 1.0, "rest": float("nan")}, "initial.rest"),
         ({"point": 1}, "initial.value"),
+        ({"point": 1, "value": True}, "initial.value"),
     ])
     def test_initial(self, initial, field):
         with pytest.raises(ProblemFormatError, match=field):
@@ -211,6 +212,16 @@ class TestRejectsMalformedFields:
          "coefficients.diag_map"),
         ("coefficients", {"uniform_offdiag": 0.1, "diag_map": {"a": 1}},
          "coefficients.diag_map"),
+        ("coefficients", {"uniform_offdiag": 0.1,
+                          "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"99": 0.4})},
+         "coefficients.diag_map"),
+        ("initial", {"point": True, "value": 1.0}, "initial.point"),
+        ("initial", {"point": 1.0, "value": 1.0}, "initial.point"),
+        ("boundary", {"points": [True], "values": [1.0]}, "boundary.points"),
+        ("boundary", {"points": [1.0], "values": [1.0]}, "boundary.points"),
+        ("coefficients", {"entries": [[1, True, 0.5]]}, "coefficients.entries"),
+        ("coefficients", {"entries": [[1.0, 1, 0.5]]}, "coefficients.entries"),
+        ("coefficients", {"entries": [[1, 1, True]]}, "coefficients.entries"),
     ])
     def test_field_named(self, key, value, field):
         with pytest.raises(ProblemFormatError, match=f"^{re.escape(field)}: "):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from digital_pde import catalog, experiments
-from digital_pde.graph_core import DigitalSpace, UnknownPointError, cycle_space
+from digital_pde.graph_core import DigitalSpace, UnknownPointError
 from digital_pde.solver import (
     CoefficientMatrix,
     DivergenceError,
@@ -39,13 +39,13 @@ class TestBind:
         with pytest.raises(SupportError, match=r"\(1,3\)"):
             bind(four_cycle, mat)
         with pytest.raises(SupportError, match=r"\(1,3\)"):
-            CoefficientMatrix(four_cycle, mat)
+            CoefficientMatrix(four_cycle, rows=[0], cols=[2], data=[0.5])
 
     def test_directed_support_allowed(self, four_cycle):
         mat = np.eye(4)
         mat[0, 1] = 0.3  # flow 2 -> 1 only
         c = bind(four_cycle, mat)
-        assert c.matrix[0, 1] == 0.3 and c.matrix[1, 0] == 0.0
+        assert c.toarray()[0, 1] == 0.3 and c.toarray()[1, 0] == 0.0
 
     def test_shape_mismatch(self, four_cycle):
         with pytest.raises(ValueError):
@@ -54,16 +54,23 @@ class TestBind:
     def test_network_table_is_column_stochastic(self):
         c = experiments.network_coefficients()
         assert is_diffusion(c)
-        np.testing.assert_allclose(c.matrix.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(c.toarray().sum(axis=0), 1.0, atol=1e-12)
 
     def test_index_derived_from_space(self, four_cycle):
-        c = CoefficientMatrix(four_cycle, np.eye(4))
+        c = bind(four_cycle, np.eye(4))
         assert c.index == {1: 0, 2: 1, 3: 2, 4: 3}
         assert elliptic_residual(c, np.ones(4), points=[1]) == 0.0
 
-    def test_built_matrix_starts_on_64_bytes(self):
-        for n in range(3, 9):
-            assert uniform_coefficients(cycle_space(n), 0.25, 0.5).matrix.ctypes.data % 64 == 0
+    @pytest.mark.parametrize("rows, cols, data", [
+        ([1, 0], [0, 0], [1.0, 1.0]),  # not row-major
+        ([0, 0], [0, 0], [1.0, 1.0]),  # one pair twice
+        ([0], [5], [1.0]),  # column out of range
+        ([0], [0], [0.0]),  # a stored zero
+        ([[0]], [[0]], [[1.0]]),  # not 1-D
+    ], ids=["order", "repeat", "range", "zero", "shape"])
+    def test_malformed_pairs_refused(self, four_cycle, rows, cols, data):
+        with pytest.raises(ValueError):
+            CoefficientMatrix(four_cycle, rows, cols, data)
 
     def test_entries_name_unknown_point(self, four_cycle):
         with pytest.raises(UnknownPointError, match="unknown point 9"):
@@ -86,8 +93,9 @@ class TestOwnership:
     ], ids=["bind", "bind_entries", "uniform_coefficients"])
     def test_bound_matrix_is_read_only(self, four_cycle, build):
         c = build(four_cycle)
-        with pytest.raises(ValueError, match="read-only"):
-            c.matrix[0, 2] = 1.0
+        for array in (c.rows, c.cols, c.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 class TestRuleSupport:
@@ -106,7 +114,8 @@ class TestRuleSupport:
 
     def test_constant_matrix_returned_as_bound(self, four_cycle):
         c = bind(four_cycle, np.eye(4))
-        assert c.at(5) is c.matrix
+        rows, cols, data = c.at(5)
+        assert rows is c.rows and cols is c.cols and data is c.data
 
 
 class TestProblemSpace:
@@ -309,7 +318,7 @@ class TestLimitMatrix:
 
     def test_idempotence(self, klein_coeffs):
         report = limit_matrix(klein_coeffs)
-        np.testing.assert_allclose(klein_coeffs.matrix @ report.limit,
+        np.testing.assert_allclose(klein_coeffs.toarray() @ report.limit,
                                    report.limit, atol=1e-9)
 
     def test_requires_diffusion(self, four_cycle):

@@ -1,6 +1,7 @@
 """Differential tests: the coefficient builders, the solver's support
-check, support-graph verdicts, limit and time loop against the oracles
-in ``reference_solver``."""
+check, its readers of the stored pairs (step, diffusion, support-graph
+and stability verdicts, limit, residual) and time loop against the
+dense oracles in ``reference_solver``."""
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from digital_pde.solver import (
     SupportError,
     bind,
     bind_entries,
+    elliptic_residual,
+    is_diffusion,
     is_irreducible,
     is_primitive,
     limit_matrix,
     solve_bvp,
     solve_ivp,
+    stability_bound_check,
+    step,
     uniform_coefficients,
 )
 
@@ -84,13 +89,13 @@ def test_uniform_coefficients_match_reference(name):
     rng = np.random.default_rng(len(space.points))
     diag = {p: float(v) for p, v in zip(space.points, rng.random(len(space.points)))}
     for offdiag, d in ((0.1, 0.4), (0.01, diag)):
-        assert_bitwise_equal(uniform_coefficients(space, offdiag, d).matrix,
+        assert_bitwise_equal(uniform_coefficients(space, offdiag, d).toarray(),
                              ref.uniform_matrix(space, offdiag, d))
 
 
 def test_network_coefficients_match_reference():
     c = experiments.network_coefficients()
-    assert_bitwise_equal(c.matrix, ref.network_matrix(
+    assert_bitwise_equal(c.toarray(), ref.network_matrix(
         c.space, experiments._NETWORK_FLOWS, experiments._NETWORK_DIAG))
 
 
@@ -99,7 +104,8 @@ def test_network_coefficients_match_reference():
 def test_problem_entries_match_reference(name, data):
     """Problem JSON ``entries`` with repeated pairs (the later weight
     wins, even when it is zero) and zero weights off the balls, which
-    are accepted: the matrix of the entry-by-entry fill."""
+    are accepted: the matrix of the entry-by-entry fill.  A weight of
+    -0.0 is a zero and is not stored, so the fill's -0.0 reads as 0.0."""
     space = catalog.space(name)
     pair = st.tuples(st.sampled_from(space.points), st.sampled_from(space.points))
     pairs = data.draw(st.lists(pair, min_size=1, max_size=30))
@@ -109,8 +115,8 @@ def test_problem_entries_match_reference(name, data):
                for p, k in pairs]
     problem = problem_from_json_dict({"space": name, "coefficients": {"entries": entries},
                                       "initial": [0.0] * len(space.points)})
-    assert_bitwise_equal(problem.coefficients.matrix,
-                         ref.entries_matrix(problem.space, entries))
+    assert_bitwise_equal(problem.coefficients.toarray(),
+                         ref.entries_matrix(problem.space, entries) + 0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 2 ** 32 - 1])
@@ -120,7 +126,7 @@ def test_random_diffusion_matches_reference(seed):
     for name in catalog.names():
         space = catalog.space(name)
         got = cli._random_diffusion(space, np.random.default_rng(seed))
-        assert_bitwise_equal(got.matrix, ref.random_diffusion_matrix(
+        assert_bitwise_equal(got.toarray(), ref.random_diffusion_matrix(
             space, np.random.default_rng(seed)))
 
 
@@ -229,3 +235,69 @@ def test_trajectory_matches_reference(name, seed, boundary, steps, tol):
     assert trajectory.converged == converged
     assert [s.t for s in trajectory.states] == list(range(len(rows)))
     assert trajectory.terminal.t == len(rows) - 1
+
+
+DENSE_SPACES = ["s1_min", "sphere2_8", "projective_plane_11", "moebius_12", "torus_16"]
+
+
+@st.composite
+def ball_matrices(draw):
+    """A catalog space and a random matrix on its balls: each ball entry
+    is kept with probability 0, 1/2 or 1 (0 gives the zero matrix), the
+    diagonal is zero on a third of the draws, and on half of the draws
+    the entries are made nonnegative and each nonzero column scaled to
+    sum to one."""
+    space = catalog.space(draw(st.sampled_from(DENSE_SPACES)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(space.points)
+    index = {p: i for i, p in enumerate(space.points)}
+    mat = np.zeros((n, n))
+    ends = [(index[u], index[v]) for u, v in space.edges]
+    pairs = [(i, i) for i in range(n)] + ends + [(j, i) for i, j in ends]
+    keep = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    for i, j in pairs:
+        if rng.random() < keep:
+            mat[i, j] = rng.uniform(-1.0, 1.0)
+    if draw(st.integers(0, 2)) == 0:
+        np.fill_diagonal(mat, 0.0)
+    if draw(st.booleans()):
+        mat = np.abs(mat)
+        sums = mat.sum(axis=0)
+        mat[:, sums > 0] /= sums[sums > 0]
+    return space, mat, rng
+
+
+@settings(max_examples=400, deadline=None)
+@given(ball_matrices())
+def test_stored_pairs_match_dense_reference(drawn):
+    """Every reader of the stored pairs agrees with the dense matrix it
+    was bound from, within 1e-12: the step (constant and by a rule),
+    the diffusion, support-graph and stability verdicts, the limit and
+    the elliptic residual."""
+    space, mat, rng = drawn
+    n = len(space.points)
+    c = bind(space, mat)
+    assert_bitwise_equal(c.toarray(), mat)
+    f = rng.uniform(-5.0, 5.0, n)
+    np.testing.assert_allclose(step(f, c, 0), mat @ f, rtol=0, atol=1e-12)
+    by_rule = bind(space, np.zeros((n, n)), rule=lambda t: mat)
+    np.testing.assert_allclose(step(f, by_rule, 3), mat @ f, rtol=0, atol=1e-12)
+    assert stability_bound_check(c) == (float(np.abs(mat).max()) < 1.0 / n)
+    assert is_irreducible(c) == ref.is_irreducible(mat)
+    assert is_primitive(c) == ref.is_primitive(mat)
+    points = [p for p in space.points if rng.random() < 0.5]
+    for subset, rows in ((None, None), (points, [c.index[p] for p in points])):
+        assert abs(elliptic_residual(c, f, subset)
+                   - ref.elliptic_residual(mat, f, rows)) <= 1e-12
+    assert is_diffusion(c) == ref.is_diffusion(mat)
+    if not is_diffusion(c):
+        with pytest.raises(ValueError, match="diffusion"):
+            limit_matrix(c)
+        return
+    report = limit_matrix(c)
+    assert report.primitive == ref.is_primitive(mat)
+    if report.primitive:
+        np.testing.assert_allclose(report.limit, ref.limit(mat), rtol=0, atol=1e-12)
+    else:
+        assert report.limit is None and report.stationary_column is None
+

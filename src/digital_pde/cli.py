@@ -19,7 +19,7 @@ from . import catalog, experiments
 from .graph_core import DigitalSpace
 from .invariants import homology
 from .problem_io import ProblemFormatError, _finite, _steps, problem_from_json, trajectory_csv
-from .solver import Problem, bind_entries, solve_bvp, solve_ivp
+from .solver import DivergenceError, Problem, bind_entries, solve_bvp, solve_ivp
 from .svgplot import line_chart
 from .topology import homotopy_reduce, is_n_manifold, is_n_sphere, is_n_surface, r_transform
 
@@ -34,13 +34,12 @@ def _load_graph(source: str) -> DigitalSpace:
     except KeyError:
         pass
     if not os.path.exists(source):
-        raise click.ClickException(
-            f"'{source}' is neither a catalog name nor a file")
+        _fail_input(f"'{source}' is neither a catalog name nor a file")
     try:
         with open(source) as f:
             return DigitalSpace.from_json_dict(json.load(f))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise click.ClickException(f"invalid graph JSON in {source}: {exc}")
+    except (OSError, KeyError, ValueError) as exc:
+        _fail_input(f"invalid graph JSON in {source}: {exc}")
 
 
 def _fail_input(message: str) -> None:
@@ -147,7 +146,10 @@ def transform(source, mode, edge):
             "removed_edge": [u, v],
         }, indent=2))
     else:
-        result, trace = homotopy_reduce(g)
+        try:
+            result, trace = homotopy_reduce(g)
+        except ValueError as exc:
+            _fail_input(str(exc))
         click.echo(json.dumps({
             "graph": result.to_json_dict(),
             "deleted_points": trace.deleted_points,
@@ -198,7 +200,11 @@ def solve(problem_file, out, plot, points, steps, tol):
     except ProblemFormatError as exc:
         _fail_input(str(exc))
     pts = _parse_points(problem.space, points)
-    trajectory = solve_bvp(problem) if problem.has_boundary else solve_ivp(problem)
+    try:
+        trajectory = solve_bvp(problem) if problem.has_boundary else solve_ivp(problem)
+    except DivergenceError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_FAILURE)
     _write_outputs(trajectory, problem.space, out, plot, pts)
     click.echo(json.dumps({
         "steps": trajectory.terminal.t,
@@ -234,7 +240,7 @@ def experiment_cmd(exp_id, out_dir):
 
 @main.command("properties")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cases", type=int, default=50, show_default=True)
+@click.option("--cases", type=click.IntRange(min=0), default=50, show_default=True)
 def properties(seed, cases):
     """Randomized conservation/monotonicity spot checks on catalog spaces."""
     rng = random.Random(seed)

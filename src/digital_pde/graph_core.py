@@ -24,6 +24,11 @@ class UnknownEdgeError(KeyError):
     """Raised when an operation names a pair that is not an edge."""
 
 
+def _is_label(p) -> bool:
+    """Whether a JSON value is a point label: an integer, not a bool."""
+    return isinstance(p, int) and not isinstance(p, bool)
+
+
 def _normalize_edge(u, v) -> Tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
@@ -191,7 +196,24 @@ class DigitalSpace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DigitalSpace":
-        return cls(d["points"], d["edges"], name=d.get("name") or None)
+        """Read graph JSON.  A document that is not an object, ``points``
+        that are not a list of integers and an edge that is not a pair of
+        integers are refused with a ValueError naming the field (``true``
+        and ``1.0`` equal 1 but are not labels)."""
+        if not isinstance(d, dict):
+            raise ValueError(f"graph JSON: expected an object, got {type(d).__name__}")
+        points, edges = d.get("points"), d.get("edges")
+        if not isinstance(points, list):
+            raise ValueError(f"points: expected a list of integers, got {points!r}")
+        for p in points:
+            if not _is_label(p):
+                raise ValueError(f"points: expected integers, got {p!r}")
+        if not isinstance(edges, list):
+            raise ValueError(f"edges: expected a list of integer pairs, got {edges!r}")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(map(_is_label, e))):
+                raise ValueError(f"edges: expected a pair of integers, got {e!r}")
+        return cls(points, edges, name=d.get("name") or None)
 
     @classmethod
     def from_json(cls, text: str) -> "DigitalSpace":

@@ -29,7 +29,7 @@ from typing import Dict
 import numpy as np
 
 from . import catalog
-from .graph_core import DigitalSpace
+from .graph_core import DigitalSpace, _is_label
 from .solver import (CoefficientMatrix, Problem, SupportError, Trajectory, bind_entries,
                      uniform_coefficients)
 
@@ -64,7 +64,7 @@ def _steps(value, name: str) -> int:
 def _known(space: DigitalSpace, p) -> bool:
     """Whether a JSON value names a point of space.  Only an integer does:
     ``true`` and ``1.0`` equal the point 1 but are not labels."""
-    return isinstance(p, int) and not isinstance(p, bool) and p in space
+    return _is_label(p) and p in space
 
 
 def _label(key, name: str) -> int:

@@ -337,42 +337,44 @@ def stability_bound_check(c: CoefficientMatrix) -> bool:
     return float(np.abs(data).max(initial=0.0)) < 1.0 / c.n
 
 
-def is_irreducible(c: CoefficientMatrix) -> bool:
-    """The directed support graph is strongly connected."""
+def _support_verdicts(c: CoefficientMatrix) -> Tuple[bool, bool]:
+    """(irreducible, primitive) for C(0), from one sparse graph of its
+    support arcs i -> j (C[i,j] != 0): strongly connected, and that with
+    period 1.  With ``level`` the breadth-first distance from point 0, a
+    closed walk's length is a sum of the terms level[i] + 1 - level[j] over
+    its arcs, and their gcd over all arcs is the period (a nonzero
+    diagonal entry gives a term of 1)."""
     from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.csgraph import connected_components, shortest_path
 
     support = csr_array((np.ones(len(c.data)), (c.rows, c.cols)), shape=(c.n, c.n))
-    ncomp, _ = connected_components(support, directed=True, connection="strong")
-    return ncomp == 1
+    if connected_components(support, directed=True, connection="strong")[0] != 1:
+        return False, False
+    level = shortest_path(support, unweighted=True, indices=0).astype(np.int64)
+    return True, int(np.gcd.reduce(level[c.rows] + 1 - level[c.cols])) == 1
+
+
+def is_irreducible(c: CoefficientMatrix) -> bool:
+    """The directed support graph is strongly connected."""
+    return _support_verdicts(c)[0]
 
 
 def is_primitive(c: CoefficientMatrix) -> bool:
-    """Irreducible with period 1.
-
-    With ``level`` the breadth-first distance from point 0 along the
-    support arcs i -> j (C[i,j] != 0), every closed walk has a length
-    that is a sum of the terms level[i] + 1 - level[j] over its arcs, and
-    the gcd of those terms over all arcs is the period of the support
-    graph.  A nonzero diagonal entry gives a term of 1.
-    """
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import shortest_path
-
-    if not is_irreducible(c):
-        return False
-    support = csr_array((np.ones(len(c.data)), (c.rows, c.cols)), shape=(c.n, c.n))
-    level = shortest_path(support, unweighted=True, indices=0).astype(np.int64)
-    return int(np.gcd.reduce(level[c.rows] + 1 - level[c.cols])) == 1
+    """Irreducible with period 1 (see ``_support_verdicts``)."""
+    return _support_verdicts(c)[1]
 
 
 @dataclass
 class SpectralReport:
     irreducible: bool
     primitive: bool
-    limit: Optional[np.ndarray]
     stationary_column: Optional[np.ndarray]
-    residual: float
+
+    @property
+    def limit(self) -> Optional[np.ndarray]:
+        """lim C^t (a new n x n array, each column the stationary one) or None."""
+        column = self.stationary_column
+        return None if column is None else np.outer(column, np.ones(len(column)))
 
 
 def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
@@ -381,17 +383,15 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     C^t converges to a matrix with equal columns exactly when C is
     primitive; otherwise (reducible, or irreducible with period > 1)
     no limit is reported and ``limit`` and ``stationary_column`` are
-    None.  The stationary column solves C x = x with sum(x) = 1, and
-    ``residual`` is |C x - x| in the max norm (inf when there is no
-    limit).
+    None.  The stationary column solves C x = x with sum(x) = 1.
     """
     if c.rule is not None:
         raise ValueError("limit_matrix supports constant coefficients only")
     if not is_diffusion(c):
         raise ValueError("limit_matrix requires a diffusion matrix")
-    irreducible = is_irreducible(c)
-    if not is_primitive(c):
-        return SpectralReport(irreducible, False, None, None, float("inf"))
+    irreducible, primitive = _support_verdicts(c)
+    if not primitive:
+        return SpectralReport(irreducible, False, None)
     from scipy.sparse import csc_array
     from scipy.sparse.linalg import spsolve
 
@@ -411,7 +411,7 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     if residual > 1e-9:
         raise AssertionError(
             f"stationary column of a primitive matrix is not fixed (residual {residual:.3g})")
-    return SpectralReport(irreducible, True, np.outer(column, np.ones(n)), column, residual)
+    return SpectralReport(True, True, column)
 
 
 def stationary_solution(c: CoefficientMatrix, f0: np.ndarray) -> FieldState:

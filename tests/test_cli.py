@@ -71,6 +71,30 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "no_such_thing", "--n", "2"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("source, message", [
+        ("nosuch", "error: 'nosuch' is neither a catalog name nor a file"),
+        (".", "error: invalid graph JSON in ."),
+    ], ids=["unknown-source", "directory"])
+    def test_source_not_a_graph_file_exit_2(self, runner, source, message):
+        result = runner.invoke(main, ["verify", source, "--n", "2"])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"points": [1, 1], "edges": []}', "duplicate point identifiers"),
+        ('{"points": [1, 2], "edges": [[1, 2, 3]]}', "edges: expected a pair of integers"),
+        ("[1, 2]", "graph JSON: expected an object"),
+        ("{not json", "invalid graph JSON in"),
+    ], ids=["repeated-point", "triple-edge", "list-document", "bad-json"])
+    def test_bad_graph_file_exit_2(self, runner, tmp_path, text, message):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["verify", str(path), "--n", "2"])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+
     @pytest.mark.parametrize("dim, kind", [("0", "manifold"), ("-1", "sphere"),
                                            ("-2", "surface")])
     def test_bad_dimension_exit_2(self, runner, dim, kind):
@@ -117,6 +141,13 @@ class TestTransformCommand:
     def test_r_transform_missing_edge_option(self, runner):
         result = runner.invoke(main, ["transform", "s2_min", "r-transform"])
         assert result.exit_code == 2
+
+    def test_reduce_empty_graph_exit_2(self, runner, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"points": [], "edges": []}))
+        result = runner.invoke(main, ["transform", str(path), "reduce"])
+        assert result.exit_code == 2
+        assert "error: cannot reduce the empty graph" in result.output
 
     def test_reduce(self, runner):
         result = runner.invoke(main, ["transform", "moebius_12", "reduce"])
@@ -178,6 +209,15 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert message in result.output
 
+    def test_divergence_exit_1(self, runner, tmp_path):
+        problem = klein_problem(
+            tmp_path, coefficients={"uniform_offdiag": 0.5, "diag": 2.0})
+        result = runner.invoke(main, ["solve", problem])
+        assert result.exit_code == 1
+        assert "error: norm" in result.output
+        assert "exceeded blow-up guard at step 9" in result.output
+        assert isinstance(result.exception, SystemExit)
+
     def test_solve_bad_points_exit_2(self, runner, tmp_path):
         problem = klein_problem(tmp_path)
         result = runner.invoke(main, ["solve", problem, "--points", "1,99"])
@@ -219,3 +259,8 @@ class TestPropertiesCommand:
                                       "--cases", "10"])
         assert result.exit_code == 0
         assert json.loads(result.output)["failures"] == []
+
+    def test_negative_cases_exit_2(self, runner):
+        result = runner.invoke(main, ["properties", "--cases", "-3"])
+        assert result.exit_code == 2
+        assert "--cases" in result.output

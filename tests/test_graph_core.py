@@ -187,6 +187,23 @@ class TestJson:
         d = octahedron.to_json_dict()
         assert d["edges"] == sorted(d["edges"])
 
+    @pytest.mark.parametrize("doc, field", [
+        ([1, 2], "graph JSON: expected an object"),
+        ({"edges": []}, "points: expected a list"),
+        ({"points": "abc", "edges": []}, "points: expected a list"),
+        ({"points": [True, 2], "edges": []}, "points: expected integers, got True"),
+        ({"points": [1.0, 2], "edges": []}, "points: expected integers, got 1.0"),
+        ({"points": [1, None], "edges": []}, "points: expected integers, got None"),
+        ({"points": [1, 2]}, "edges: expected a list"),
+        ({"points": [1, 2], "edges": [[1, 2, 3]]}, r"edges: expected a pair of integers, got \[1, 2, 3\]"),
+        ({"points": [1, 2], "edges": [[True, 2]]}, r"edges: expected a pair of integers, got \[True, 2\]"),
+        ({"points": [1, 2], "edges": ["12"]}, "edges: expected a pair of integers, got '12'"),
+    ], ids=["list-document", "no-points", "string-points", "bool-point", "float-point",
+            "null-point", "no-edges", "triple-edge", "bool-edge", "string-edge"])
+    def test_refuses_non_integer_labels(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            DigitalSpace.from_json_dict(doc)
+
 
 class TestSubspace:
     def test_induced_keeps_parent_edges(self, octahedron):

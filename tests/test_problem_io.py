@@ -46,6 +46,13 @@ class TestSpaceField:
             problem_from_json_dict(klein_problem_dict(
                 space={"points": [1], "edges": [[1, 2]]}))
 
+    def test_inline_graph_bool_label(self):
+        with pytest.raises(ProblemFormatError,
+                           match="space: invalid inline graph .points: expected integers, got True"):
+            problem_from_json_dict(klein_problem_dict(
+                space={"points": [True, 2], "edges": [[1, 2]]},
+                coefficients={"uniform_offdiag": 0.25, "diag": 0.75}, initial=[2.0, 0.0]))
+
 
 class TestCoefficientsField:
     def test_entries_form(self):

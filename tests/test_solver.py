@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from digital_pde import catalog, experiments
+from digital_pde import catalog, experiments, solver
 from digital_pde.graph_core import DigitalSpace, UnknownPointError
 from digital_pde.solver import (
     CoefficientMatrix,
     DivergenceError,
     Problem,
+    SpectralReport,
     SupportError,
     bind,
     bind_entries,
@@ -324,6 +327,23 @@ class TestLimitMatrix:
     def test_requires_diffusion(self, four_cycle):
         with pytest.raises(ValueError):
             limit_matrix(bind(four_cycle, np.eye(4) * 0.5))
+
+    def test_report_stores_only_the_column(self, klein_coeffs):
+        assert [f.name for f in dataclasses.fields(SpectralReport)] == [
+            "irreducible", "primitive", "stationary_column"]
+        report = limit_matrix(klein_coeffs)
+        assert report.limit is not report.limit
+        np.testing.assert_array_equal(report.limit[:, 5], report.stationary_column)
+
+    def test_one_support_graph_per_call(self, klein_coeffs, monkeypatch):
+        calls = []
+        verdicts = solver._support_verdicts
+        monkeypatch.setattr(solver, "_support_verdicts",
+                            lambda c: calls.append(c) or verdicts(c))
+        for name in ("is_irreducible", "is_primitive"):
+            monkeypatch.setattr(solver, name, None)
+        assert limit_matrix(klein_coeffs).primitive
+        assert calls == [klein_coeffs]
 
 
 class TestStationarySolution:

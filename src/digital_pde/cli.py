@@ -157,14 +157,18 @@ def transform(source, mode, edge):
 
 
 def _write_outputs(trajectory, space, out, plot, points):
-    if out:
-        with open(out, "w", newline="") as f:
-            f.write(trajectory_csv(trajectory, space))
-    if plot:
-        series = {f"point {p}": trajectory.values[:, space.points.index(p)]
-                  for p in points or space.points}
-        with open(plot, "w", newline="") as f:
-            f.write(line_chart(series, y_label="f", x_label="t"))
+    """Write the CSV and SVG; a path that cannot be written is an input error."""
+    try:
+        if out:
+            with open(out, "w", newline="") as f:
+                f.write(trajectory_csv(trajectory, space))
+        if plot:
+            series = {f"point {p}": trajectory.values[:, space.index[p]]
+                      for p in points or space.points}
+            with open(plot, "w", newline="") as f:
+                f.write(line_chart(series, y_label="f", x_label="t"))
+    except OSError as exc:
+        _fail_input(f"cannot write {exc.filename}: {exc.strerror}")
 
 
 def _parse_points(space, text):
@@ -181,7 +185,7 @@ def _parse_points(space, text):
 
 
 @main.command("solve")
-@click.argument("problem_file", type=click.Path(exists=True))
+@click.argument("problem_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", default=None, help="trajectory CSV path")
 @click.option("--plot", default=None, help="SVG plot path")
 @click.option("--points", default=None, help="comma-separated points to plot")
@@ -220,7 +224,10 @@ def solve(problem_file, out, plot, points, steps, tol):
               help="directory for CSV and SVG outputs")
 def experiment_cmd(exp_id, out_dir):
     """Run a bundled experiment, write CSV+SVG, check the expected limit."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        _fail_input(f"cannot create --out-dir {exc.filename}: {exc.strerror}")
     result = experiments.run(exp_id)
     space = result.spec.problem.space
     out = os.path.join(out_dir, f"{exp_id}.csv")

@@ -59,7 +59,7 @@ class ExperimentResult:
 
 def _point_mass(space, point: int, value: float) -> np.ndarray:
     values = np.zeros(len(space.points))
-    values[space.points.index(point)] = value
+    values[space.index[point]] = value
     return values
 
 

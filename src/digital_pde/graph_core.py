@@ -13,6 +13,7 @@ graph, so results can be shared and memoized safely.
 from __future__ import annotations
 
 import json
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Tuple
 
 
@@ -36,29 +37,31 @@ def _normalize_edge(u, v) -> Tuple[int, int]:
 class DigitalSpace:
     """A finite simple undirected graph with stable point labels.
 
-    Points are integer identifiers kept in a fixed order; edges are
-    unordered pairs of distinct points.  Self-loops and duplicate
+    Points are integer identifiers kept in a fixed order, and the
+    read-only mapping ``index`` gives each point's position in it; edges
+    are unordered pairs of distinct points.  Self-loops and duplicate
     edges are rejected at construction.
     """
 
-    __slots__ = ("points", "edges", "name", "_adj", "_hash")
+    __slots__ = ("points", "edges", "name", "index", "_adj", "_hash")
 
     def __init__(self, points: Iterable[int], edges: Iterable[Sequence[int]],
                  name: Optional[str] = None):
         pts = tuple(points)
-        if len(set(pts)) != len(pts):
+        index = {p: i for i, p in enumerate(pts)}
+        if len(index) != len(pts):
             raise ValueError("duplicate point identifiers")
-        pset = set(pts)
         norm = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at point {u}")
-            if u not in pset or v not in pset:
+            if u not in index or v not in index:
                 raise UnknownPointError(f"edge ({u},{v}) endpoint not a point")
             norm.add(_normalize_edge(u, v))
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "index", MappingProxyType(index))
         adj = {p: set() for p in pts}
         for u, v in norm:
             adj[u].add(v)
@@ -197,9 +200,10 @@ class DigitalSpace:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DigitalSpace":
         """Read graph JSON.  A document that is not an object, ``points``
-        that are not a list of integers and an edge that is not a pair of
-        integers are refused with a ValueError naming the field (``true``
-        and ``1.0`` equal 1 but are not labels)."""
+        that are not a list of integers, an edge that is not a pair of
+        integers and a ``name`` that is not a string are refused with a
+        ValueError naming the field (``true`` and ``1.0`` equal 1 but are
+        not labels).  A missing, null or empty name means no name."""
         if not isinstance(d, dict):
             raise ValueError(f"graph JSON: expected an object, got {type(d).__name__}")
         points, edges = d.get("points"), d.get("edges")
@@ -213,7 +217,10 @@ class DigitalSpace:
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2 and all(map(_is_label, e))):
                 raise ValueError(f"edges: expected a pair of integers, got {e!r}")
-        return cls(points, edges, name=d.get("name") or None)
+        name = d.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f"name: expected a string, got {name!r}")
+        return cls(points, edges, name=name or None)
 
     @classmethod
     def from_json(cls, text: str) -> "DigitalSpace":

@@ -144,7 +144,7 @@ def _load_initial(space: DigitalSpace, spec) -> np.ndarray:
             raise ProblemFormatError(f"initial.point: unknown point {point!r}")
         rest = _finite(spec.get("rest", 0.0), "initial.rest")
         values = np.full(n, rest)
-        values[space.points.index(point)] = _finite(spec.get("value"), "initial.value")
+        values[space.index[point]] = _finite(spec.get("value"), "initial.value")
         return values
     raise ProblemFormatError("initial: expected list or point/value form")
 

@@ -44,12 +44,13 @@ class CoefficientMatrix:
 
     C(0) is stored as its nonzero entries, one per pair, in row-major
     order: C[rows[i], cols[i]] == data[i], and every other entry is zero.
-    ``rule`` (if given) produces C(t) as an n x n array for any step.
+    ``rule`` (if given) produces C(t) as an n x n array for t >= 1; it is
+    never called at t = 0, so the stored pairs are the one C(0).
     Both are checked against the balls of ``space``: the pairs here,
     every C(t) when ``at`` returns it.  The object makes the three arrays
-    read-only, so they stay as checked.  ``index`` maps a point to its
-    row.  Build one with ``bind`` or ``bind_entries``; ``toarray`` gives
-    the dense matrix.
+    read-only, so they stay as checked.  Rows and columns follow
+    ``space.index``.  Build one with ``bind`` or ``bind_entries``;
+    ``toarray`` gives the dense matrix.
     """
 
     space: DigitalSpace
@@ -57,17 +58,15 @@ class CoefficientMatrix:
     cols: np.ndarray
     data: np.ndarray
     rule: Optional[MatrixRule] = None
-    index: Dict[int, int] = field(init=False, repr=False)
     _balls: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.index = {p: i for i, p in enumerate(self.space.points)}
-        n = self.n
+        n, index = self.n, self.space.index
         # Flat keys i * n + j of the pairs on the balls, ascending: the
         # diagonal and both directions of every edge.  Sorted in Python:
         # numpy's sort maps about 0.5 MB of code, 1.5% of a small run's
         # peak memory.
-        ends = [(self.index[u], self.index[v]) for u, v in self.space.edges]
+        ends = [(index[u], index[v]) for u, v in self.space.edges]
         balls = [i * (n + 1) for i in range(n)]
         balls += [i * n + j for i, j in ends] + [j * n + i for i, j in ends]
         self._balls = np.array(sorted(balls), dtype=np.intp)
@@ -102,7 +101,7 @@ class CoefficientMatrix:
 
     def at(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``rows``, ``cols`` and ``data`` of C(t)."""
-        if self.rule is None:
+        if self.rule is None or t == 0:
             return self.rows, self.cols, self.data
         keys, data = _nonzero(self.rule(t), self.n)
         self._check_support(keys)
@@ -154,8 +153,7 @@ def bind_entries(space: DigitalSpace,
     the flow from source k into destination p.  Pairs not named are
     zero, and a later triple for the same pair wins.  Support is
     checked as in ``bind``."""
-    index = {p: i for i, p in enumerate(space.points)}
-    n = len(index)
+    index, n = space.index, len(space.points)
     try:
         cells = {index[p] * n + index[k]: v for p, k, v in entries}
     except KeyError as exc:
@@ -194,7 +192,10 @@ class FieldState:
 
 @dataclass
 class Problem:
-    """An initial or boundary value problem on a digital space."""
+    """An initial or boundary value problem on a digital space.  Values
+    it cannot run (non-finite initial values or ``tol``, ``steps`` not a
+    nonnegative integer, only one of the two boundary fields) are
+    refused with a ValueError naming the field."""
 
     space: DigitalSpace
     coefficients: CoefficientMatrix
@@ -214,6 +215,14 @@ class Problem:
         self.initial = np.asarray(self.initial, dtype=float)
         if self.initial.shape != (len(self.space.points),):
             raise ValueError("initial values length must equal point count")
+        if not np.isfinite(self.initial).all():
+            raise ValueError("initial: values must be finite")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
+            raise ValueError(f"steps: expected a nonnegative integer, got {self.steps!r}")
+        if not np.isfinite(self.tol):
+            raise ValueError(f"tol: expected a finite number, got {self.tol!r}")
+        if (self.boundary_points is None) != (self.boundary_values is None):
+            raise ValueError("boundary_points and boundary_values: give both or neither")
         if self.boundary_points:
             if len(set(self.boundary_points)) != len(self.boundary_points):
                 raise ValueError(f"repeated boundary points in {self.boundary_points}")
@@ -274,7 +283,7 @@ def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
 
 def _iterate(problem: Problem) -> Trajectory:
     c = problem.coefficients
-    rows = [(p, c.index[p]) for p in problem.boundary_points or ()]
+    rows = [(p, problem.space.index[p]) for p in problem.boundary_points or ()]
     f = problem.initial.copy()
     if rows:
         _clamp(f, problem, rows, 0)
@@ -333,8 +342,7 @@ def stability_bound_check(c: CoefficientMatrix) -> bool:
     A failing check says nothing about divergence; diffusion matrices
     routinely fail it and still converge.
     """
-    _, _, data = c.at(0)
-    return float(np.abs(data).max(initial=0.0)) < 1.0 / c.n
+    return float(np.abs(c.data).max(initial=0.0)) < 1.0 / c.n
 
 
 def _support_verdicts(c: CoefficientMatrix) -> Tuple[bool, bool]:
@@ -434,6 +442,6 @@ def elliptic_residual(c: CoefficientMatrix, f: np.ndarray,
     f = np.asarray(f, dtype=float)
     diff = f - _times(c.rows, c.cols, c.data, f)
     if points is not None:
-        rows = [c.index[p] for p in points]
+        rows = [c.space.index[p] for p in points]
         diff = diff[rows]
     return float(np.abs(diff).sum())

@@ -97,7 +97,7 @@ class _Verdicts:
 
     def __init__(self, g: DigitalSpace):
         self.adj = {v: g.neighbors(v) for v in g.points}
-        self.position = {v: i for i, v in enumerate(g.points)}
+        self.index = g.index
         self._contractible: Dict[frozenset, bool] = {}
         self._failure: Dict[Tuple[frozenset, int, str], Optional[Failure]] = {}
 
@@ -177,7 +177,7 @@ class _Verdicts:
             found = None, "not connected"
         else:
             rim_kind = "surface" if kind == "surface" else "sphere"
-            ordered = sorted(pts, key=self.position.__getitem__)
+            ordered = sorted(pts, key=self.index.__getitem__)
             for v in ordered:
                 if self.failure(adj[v] & pts, n - 1, rim_kind) is not None:
                     found = v, f"rim of {v} is not a {n - 1}-{rim_kind}"

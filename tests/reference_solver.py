@@ -149,7 +149,7 @@ def trajectory(problem) -> Tuple[List[np.ndarray], List[float], List[float], boo
     def clamp(values, t):
         if problem.has_boundary:
             for p, v in problem.boundary_values(t).items():
-                values[problem.coefficients.index[p]] = v
+                values[problem.coefficients.space.index[p]] = v
 
     values = problem.initial.copy()
     clamp(values, 0)

@@ -84,7 +84,7 @@ def test_criterion_05_projective_bvp(capsys):
     failures = []
     clamps = problem.boundary_values(0)
     for p, expected in sorted(clamps.items()):
-        i = problem.coefficients.index[p]
+        i = problem.coefficients.space.index[p]
         if any(state.values[i] != expected for state in trajectory.states):
             failures.append(f"clamp at point {p} deviated from {expected}")
     free = [p for p in problem.space.points if p not in clamps]

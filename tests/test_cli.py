@@ -86,7 +86,8 @@ class TestVerifyCommand:
         ('{"points": [1, 2], "edges": [[1, 2, 3]]}', "edges: expected a pair of integers"),
         ("[1, 2]", "graph JSON: expected an object"),
         ("{not json", "invalid graph JSON in"),
-    ], ids=["repeated-point", "triple-edge", "list-document", "bad-json"])
+        ('{"name": [1], "points": [1, 2], "edges": [[1, 2]]}', "name: expected a string"),
+    ], ids=["repeated-point", "triple-edge", "list-document", "bad-json", "list-name"])
     def test_bad_graph_file_exit_2(self, runner, tmp_path, text, message):
         path = tmp_path / "g.json"
         path.write_text(text)
@@ -251,6 +252,29 @@ class TestExperimentCommand:
     def test_unknown_experiment(self, runner):
         result = runner.invoke(main, ["experiment", "nope"])
         assert result.exit_code == 2
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("args, path", [
+        (["solve", "{path}"], "adir"),
+        (["solve", "{problem}", "--out", "{path}"], "nodir/x.csv"),
+        (["solve", "{problem}", "--plot", "{path}"], "nodir/x.svg"),
+        (["solve", "{problem}", "--out", "{path}"], "adir"),
+        (["experiment", "klein_ivp", "--out-dir", "{path}"], "afile"),
+        (["experiment", "klein_ivp", "--out-dir", "{path}"], "afile/sub"),
+    ], ids=["problem-is-directory", "out-in-missing-directory", "plot-in-missing-directory",
+            "out-is-directory", "out-dir-is-file", "out-dir-under-file"])
+    def test_unusable_path_exit_2(self, runner, tmp_path, args, path):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        path = str(tmp_path / path)
+        problem = klein_problem(tmp_path)
+        result = runner.invoke(main, [a.format(problem=problem, path=path) for a in args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines()
+                  if line.lower().startswith("error:")]
+        assert len(errors) == 1 and path in errors[0]
 
 
 class TestPropertiesCommand:

@@ -198,11 +198,40 @@ class TestJson:
         ({"points": [1, 2], "edges": [[1, 2, 3]]}, r"edges: expected a pair of integers, got \[1, 2, 3\]"),
         ({"points": [1, 2], "edges": [[True, 2]]}, r"edges: expected a pair of integers, got \[True, 2\]"),
         ({"points": [1, 2], "edges": ["12"]}, "edges: expected a pair of integers, got '12'"),
+        ({"points": [1, 2], "edges": [[1, 2]], "name": [1]}, r"name: expected a string, got \[1\]"),
+        ({"points": [1, 2], "edges": [[1, 2]], "name": {"a": 1}}, "name: expected a string"),
+        ({"points": [1, 2], "edges": [[1, 2]], "name": True}, "name: expected a string, got True"),
+        ({"points": [1, 2], "edges": [[1, 2]], "name": 7}, "name: expected a string, got 7"),
     ], ids=["list-document", "no-points", "string-points", "bool-point", "float-point",
-            "null-point", "no-edges", "triple-edge", "bool-edge", "string-edge"])
+            "null-point", "no-edges", "triple-edge", "bool-edge", "string-edge",
+            "list-name", "object-name", "bool-name", "number-name"])
     def test_refuses_non_integer_labels(self, doc, field):
         with pytest.raises(ValueError, match=field):
             DigitalSpace.from_json_dict(doc)
+
+    @pytest.mark.parametrize("name", [{}, {"name": None}, {"name": ""}],
+                             ids=["missing", "null", "empty"])
+    def test_absent_name_means_no_name(self, name):
+        g = DigitalSpace.from_json_dict(dict({"points": [1, 2], "edges": [[1, 2]]}, **name))
+        assert g.name is None
+        assert g.to_json_dict()["name"] == ""
+
+
+class TestIndex:
+    def test_maps_each_point_to_its_position(self):
+        g = DigitalSpace([5, 2, 9], [(5, 9)])
+        assert dict(g.index) == {5: 0, 2: 1, 9: 2}
+        assert all(g.points[i] == p for p, i in g.index.items())
+        assert dict(g.delete_point(2).index) == {5: 0, 9: 1}
+
+    def test_read_only(self, four_cycle):
+        with pytest.raises(TypeError):
+            four_cycle.index[1] = 5
+        with pytest.raises(TypeError):
+            del four_cycle.index[1]
+        with pytest.raises(AttributeError):
+            four_cycle.index = {}
+        assert four_cycle.index[1] == 0
 
 
 class TestSubspace:

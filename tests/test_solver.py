@@ -61,8 +61,24 @@ class TestBind:
 
     def test_index_derived_from_space(self, four_cycle):
         c = bind(four_cycle, np.eye(4))
-        assert c.index == {1: 0, 2: 1, 3: 2, 4: 3}
+        assert c.space.index == {1: 0, 2: 1, 3: 2, 4: 3}
         assert elliptic_residual(c, np.ones(4), points=[1]) == 0.0
+
+    @pytest.mark.parametrize("build", [
+        lambda g: bind(g, np.diag([0.1 * p for p in g.points])),
+        lambda g: bind_entries(g, [(p, p, 0.1 * p) for p in g.points]),
+        lambda g: uniform_coefficients(g, 0.0, {p: 0.1 * p for p in g.points}),
+    ], ids=["bind", "bind_entries", "uniform_coefficients"])
+    def test_rows_follow_the_space_index(self, build):
+        space = DigitalSpace([4, 2, 3, 1], [(4, 2), (2, 3), (3, 1), (1, 4)])
+        c = build(space)
+        assert c.space.index is space.index and not hasattr(c, "index")
+        dense = c.toarray()
+        for p, i in space.index.items():
+            assert dense[i, i] == pytest.approx(0.1 * p)
+            assert elliptic_residual(c, np.ones(4), points=[p]) == pytest.approx(1 - 0.1 * p)
+        with pytest.raises(TypeError):
+            c.space.index[1] = 5
 
     @pytest.mark.parametrize("rows, cols, data", [
         ([1, 0], [0, 0], [1.0, 1.0]),  # not row-major
@@ -104,16 +120,35 @@ class TestOwnership:
 class TestRuleSupport:
     def test_rule_leaving_the_balls_refused(self, four_cycle):
         # 0.25 everywhere would move mass from point 1 to the
-        # non-adjacent point 3 in one step.
+        # non-adjacent point 3 in one step.  The rule first applies at
+        # t = 1, and tol=0 keeps the identity step at t = 0 from stopping
+        # the run.
         c = bind(four_cycle, np.eye(4), rule=lambda t: np.full((4, 4), 0.25))
-        problem = Problem(four_cycle, c, np.array([4.0, 0.0, 0.0, 0.0]), steps=1)
+        problem = Problem(four_cycle, c, np.array([4.0, 0.0, 0.0, 0.0]), steps=2, tol=0.0)
         with pytest.raises(SupportError, match=r"\(1,3\)"):
             solve_ivp(problem)
 
     def test_rule_of_wrong_shape_refused(self, four_cycle):
         c = bind(four_cycle, np.eye(4), rule=lambda t: np.eye(3))
         with pytest.raises(ValueError, match="does not match 4 points"):
-            c.at(0)
+            c.at(1)
+
+    def test_bound_matrix_is_c0_and_the_rule_starts_at_1(self, four_cycle):
+        calls = []
+
+        def rule(t):
+            calls.append(t)
+            return 2 * np.eye(4)
+
+        c = bind(four_cycle, np.eye(4), rule=rule)
+        assert is_diffusion(c)
+        rows, cols, data = c.at(0)
+        assert rows is c.rows and cols is c.cols and data is c.data
+        np.testing.assert_array_equal(step(np.ones(4), c, 0), np.ones(4))
+        assert stability_bound_check(c) is False  # |1| of C(0), not |2| of rule(0)
+        assert calls == []
+        np.testing.assert_array_equal(step(np.ones(4), c, 1), 2 * np.ones(4))
+        assert calls == [1]
 
     def test_constant_matrix_returned_as_bound(self, four_cycle):
         c = bind(four_cycle, np.eye(4))
@@ -138,6 +173,27 @@ class TestProblemSpace:
         copy = DigitalSpace(four_cycle.points, four_cycle.edges)
         coeffs = uniform_coefficients(copy, 0.1, 0.8)
         assert Problem(four_cycle, coeffs, np.zeros(4)).coefficients is coeffs
+
+
+class TestProblemRefusals:
+    @pytest.mark.parametrize("fields, message", [
+        ({"steps": -5}, "steps: expected a nonnegative integer, got -5"),
+        ({"steps": 2.5}, "steps: expected a nonnegative integer, got 2.5"),
+        ({"tol": float("nan")}, "tol: expected a finite number, got nan"),
+        ({"initial": [1.0, np.nan, 0.0, 0.0]}, "initial: values must be finite"),
+        ({"boundary_points": [1]}, "boundary_points and boundary_values"),
+        ({"boundary_values": lambda t: {1: 1.0}}, "boundary_points and boundary_values"),
+    ], ids=["negative-steps", "fractional-steps", "nan-tol", "nan-initial",
+            "points-without-values", "values-without-points"])
+    def test_refused_naming_the_field(self, four_cycle, fields, message):
+        fields = dict({"initial": np.ones(4)}, **fields)
+        with pytest.raises(ValueError, match=message):
+            Problem(four_cycle, bind(four_cycle, np.eye(4)), **fields)
+
+    def test_numpy_integer_steps_accepted(self, four_cycle):
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
+                          steps=np.int64(3), tol=0.0)
+        assert len(solve_ivp(problem).values) == 4
 
 
 class TestIsDiffusion:
@@ -171,7 +227,7 @@ class TestStep:
         # point 1 keeps 0.4 of its mass; neighbors each receive 0.1 * 16
         assert nxt[0] == pytest.approx(0.4 * 16)
         for p in klein.neighbors(1):
-            assert nxt[klein_coeffs.index[p]] == pytest.approx(1.6)
+            assert nxt[klein_coeffs.space.index[p]] == pytest.approx(1.6)
 
     def test_uniform_vector_fixed_for_symmetric_matrix(self, klein_coeffs):
         ones = np.ones(16)

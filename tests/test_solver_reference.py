@@ -286,7 +286,7 @@ def test_stored_pairs_match_dense_reference(drawn):
     assert is_irreducible(c) == ref.is_irreducible(mat)
     assert is_primitive(c) == ref.is_primitive(mat)
     points = [p for p in space.points if rng.random() < 0.5]
-    for subset, rows in ((None, None), (points, [c.index[p] for p in points])):
+    for subset, rows in ((None, None), (points, [c.space.index[p] for p in points])):
         assert abs(elliptic_residual(c, f, subset)
                    - ref.elliptic_residual(mat, f, rows)) <= 1e-12
     assert is_diffusion(c) == ref.is_diffusion(mat)

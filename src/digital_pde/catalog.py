@@ -45,10 +45,17 @@ class CatalogEntry:
     interior_points: Optional[List[int]] = None
 
 
+# Parsed stored spaces by resolved file path; DigitalSpace is immutable,
+# and a redirected data directory gives new paths.
+_STORED: Dict[str, DigitalSpace] = {}
+
+
 def _load_stored(name: str) -> DigitalSpace:
-    path = os.path.join(data_dir(), f"{name}.json")
-    with open(path) as f:
-        return DigitalSpace.from_json_dict(json.load(f))
+    path = os.path.realpath(os.path.join(data_dir(), f"{name}.json"))
+    if path not in _STORED:
+        with open(path) as f:
+            _STORED[path] = DigitalSpace.from_json_dict(json.load(f))
+    return _STORED[path]
 
 
 def minimal_sphere_entry(n: int) -> CatalogEntry:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import catalog, experiments
 from .graph_core import DigitalSpace
-from .invariants import homology
+from .invariants import DEFAULT_MAX_DIM, homology
 from .problem_io import ProblemFormatError, _finite, _steps, problem_from_json, trajectory_csv
 from .solver import DivergenceError, Problem, bind_entries, solve_bvp, solve_ivp
 from .svgplot import line_chart
@@ -117,8 +117,9 @@ def invariants_cmd(source):
     g = _load_graph(source)
     try:
         profile = homology(g)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    except ValueError:
+        _fail_input(f"clique complex of {source} has cliques above the supported size "
+                    f"({DEFAULT_MAX_DIM + 1} points)")
     click.echo(json.dumps(profile.to_json_dict(), indent=2))
 
 
@@ -156,18 +157,35 @@ def transform(source, mode, edge):
         }, indent=2))
 
 
+def _check_outputs(*paths):
+    """Refuse, before any run, an output path that is a directory or lies
+    in a directory that does not exist."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            _fail_input(f"cannot write {path}: Is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            _fail_input(f"cannot write {path}: No such file or directory")
+
+
 def _write_outputs(trajectory, space, out, plot, points):
-    """Write the CSV and SVG; a path that cannot be written is an input error."""
+    """Render the CSV and SVG, then write them; a path that cannot be
+    written is an input error and leaves neither file behind."""
+    texts = []
+    if out:
+        texts.append((out, trajectory_csv(trajectory, space)))
+    if plot:
+        series = {f"point {p}": trajectory.values[:, space.index[p]]
+                  for p in points or space.points}
+        texts.append((plot, line_chart(series, y_label="f", x_label="t")))
+    written = []
     try:
-        if out:
-            with open(out, "w", newline="") as f:
-                f.write(trajectory_csv(trajectory, space))
-        if plot:
-            series = {f"point {p}": trajectory.values[:, space.index[p]]
-                      for p in points or space.points}
-            with open(plot, "w", newline="") as f:
-                f.write(line_chart(series, y_label="f", x_label="t"))
+        for path, text in texts:
+            with open(path, "w", newline="") as f:
+                written.append(path)
+                f.write(text)
     except OSError as exc:
+        for path in written:
+            os.remove(path)
         _fail_input(f"cannot write {exc.filename}: {exc.strerror}")
 
 
@@ -204,6 +222,7 @@ def solve(problem_file, out, plot, points, steps, tol):
     except ProblemFormatError as exc:
         _fail_input(str(exc))
     pts = _parse_points(problem.space, points)
+    _check_outputs(out, plot)
     try:
         trajectory = solve_bvp(problem) if problem.has_boundary else solve_ivp(problem)
     except DivergenceError as exc:
@@ -228,10 +247,11 @@ def experiment_cmd(exp_id, out_dir):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         _fail_input(f"cannot create --out-dir {exc.filename}: {exc.strerror}")
-    result = experiments.run(exp_id)
-    space = result.spec.problem.space
     out = os.path.join(out_dir, f"{exp_id}.csv")
     plot = os.path.join(out_dir, f"{exp_id}.svg")
+    _check_outputs(out, plot)
+    result = experiments.run(exp_id)
+    space = result.spec.problem.space
     _write_outputs(result.trajectory, space, out, plot, result.spec.plot_points)
     click.echo(json.dumps({
         "experiment": exp_id,

@@ -6,9 +6,17 @@ differential oracle: on every boundary matrix the tests feed it, it
 terminates, and ``invariants.smith_normal_form`` must return the same
 divisor list.  It does not terminate on every integer matrix (see
 ``tests/test_invariants.py``), so tests give it only boundary matrices.
+
+``dense`` turns the sparse columns of ``invariants.boundary_matrix``
+into the rows x columns list of lists both routines read.
 """
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
+
+
+def dense(columns: Sequence[Dict[int, int]], rows: int) -> List[List[int]]:
+    """The rows x len(columns) integer matrix whose column j is columns[j]."""
+    return [[col.get(i, 0) for col in columns] for i in range(rows)]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:

@@ -117,6 +117,25 @@ class TestOrthogonalGrid:
         assert report.witness_point is not None
 
 
+class TestStoredSpaces:
+    def test_parsed_once_per_file(self, tmp_path, monkeypatch):
+        # a fresh data directory, so no earlier test has parsed this file
+        stored = catalog.space("klein_bottle_16")
+        (tmp_path / "klein_bottle_16.json").write_text(json.dumps(stored.to_json_dict()))
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(tmp_path))
+        opened = []
+
+        def spy(path, *args, **kwargs):
+            opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "open", spy, raising=False)
+        first = catalog.space("klein_bottle_16")
+        assert catalog.space("klein_bottle_16") is first
+        assert first == stored
+        assert len(opened) == 1
+
+
 class TestDataOverride:
     def test_env_var_redirects_data_dir(self, tmp_path, monkeypatch):
         # a deliberately broken Klein bottle must fail verification

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from digital_pde import cli, experiments
 from digital_pde.cli import main
 
 
@@ -121,7 +122,8 @@ class TestInvariantsCommand:
         path.write_text(json.dumps(k8))
         result = runner.invoke(main, ["invariants", str(path)])
         assert result.exit_code == 2
-        assert "max_dim" in result.output
+        assert "cliques above the supported size (7 points)" in result.output
+        assert "pass a larger max_dim" not in result.output
 
 
 class TestTransformCommand:
@@ -275,6 +277,40 @@ class TestOutputPaths:
         errors = [line for line in result.output.splitlines()
                   if line.lower().startswith("error:")]
         assert len(errors) == 1 and path in errors[0]
+
+    @pytest.mark.parametrize("args, path", [
+        (["solve", "{problem}", "--out", "{path}"], "nodir/x.csv"),
+        (["solve", "{problem}", "--plot", "{path}"], "nodir/x.svg"),
+        (["solve", "{problem}", "--out", "{path}"], "adir"),
+        (["experiment", "klein_ivp", "--out-dir", "{path}"], "adir"),
+    ], ids=["out-in-missing-directory", "plot-in-missing-directory", "out-is-directory",
+            "experiment-csv-is-directory"])
+    def test_checked_before_the_run(self, runner, tmp_path, monkeypatch, args, path):
+        (tmp_path / "adir" / "klein_ivp.csv").mkdir(parents=True)
+        path = str(tmp_path / path)
+        problem = klein_problem(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the output paths were checked")
+
+        for module, name in [(cli, "solve_ivp"), (cli, "solve_bvp"), (experiments, "run")]:
+            monkeypatch.setattr(module, name, refuse)
+        result = runner.invoke(main, [a.format(problem=problem, path=path) for a in args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {path}" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "{problem}", "--out", "{dir}/klein_ivp.csv", "--plot", "{dir}/nodir/x.svg"],
+        ["experiment", "klein_ivp", "--out-dir", "{dir}"],
+    ], ids=["solve", "experiment"])
+    def test_bad_plot_leaves_no_csv(self, runner, tmp_path, args):
+        (tmp_path / "klein_ivp.svg").mkdir()
+        problem = klein_problem(tmp_path)
+        result = runner.invoke(main, [a.format(problem=problem, dir=tmp_path) for a in args])
+        assert result.exit_code == 2
+        assert "error: cannot write" in result.output
+        assert not (tmp_path / "klein_ivp.csv").exists()
 
 
 class TestPropertiesCommand:

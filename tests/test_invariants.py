@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,15 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import digital_pde
+from digital_pde import catalog, invariants
 from digital_pde.graph_core import DigitalSpace
 from digital_pde.invariants import (
+    _eliminate_units,
     boundary_matrix,
     clique_complex,
     euler_characteristic,
     homology,
     smith_normal_form,
 )
-from digital_pde.topology import cone, minimal_sphere
+from digital_pde.topology import cone, minimal_sphere, r_transform
+
+import reference_invariants as ref
+from test_topology_reference import graphs
 
 
 def exact_rank(matrix):
@@ -202,8 +208,8 @@ class TestHomology:
         for g in (klein, projective, octahedron, minimal_sphere(3)):
             cx = clique_complex(g)
             for k in range(2, cx.max_dim + 1):
-                d_k = boundary_matrix(cx, k)
-                d_km1 = boundary_matrix(cx, k - 1)
+                d_k = ref.dense(boundary_matrix(cx, k), cx.count(k - 1))
+                d_km1 = ref.dense(boundary_matrix(cx, k - 1), cx.count(k - 2))
                 rows = len(d_km1)
                 for j in range(len(d_k[0])):
                     col = [sum(d_km1[i][l] * d_k[l][j] for l in range(len(d_k)))
@@ -213,6 +219,64 @@ class TestHomology:
     def test_json_shape(self, klein):
         d = homology(klein).to_json_dict()
         assert set(d) == {"chi", "betti", "torsion"}
+
+
+def dense_profile(g, max_dim):
+    """Homology from the densified boundary maps and the reference SNF."""
+    cx = clique_complex(g, max_dim)
+    top = cx.max_dim
+    divisors = [[]] + [ref.smith_normal_form(ref.dense(boundary_matrix(cx, k), cx.count(k - 1)))
+                       for k in range(1, top + 1)] + [[]]
+    betti = [cx.count(k) - len(divisors[k]) - len(divisors[k + 1]) for k in range(top + 1)]
+    torsion = [[d for d in divisors[k + 1] if d > 1] for k in range(top + 1)]
+    return cx.euler_characteristic(), betti, torsion
+
+
+def grown(name, transforms, seed):
+    g = catalog.space(name)
+    rng = random.Random(seed)
+    for _ in range(transforms):
+        u, v = rng.choice(sorted(g.edges))
+        g = r_transform(g, u, v, max(g.points) + 1)
+    return g
+
+
+class TestUnitElimination:
+    """Elimination on +-1 pivots, then the SNF of the leftover block only,
+    against the dense reference on the whole boundary matrix."""
+
+    @given(graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_homology_matches_dense_reference(self, g):
+        # 9 points have at most 9-point cliques, so max_dim=8 is the whole complex
+        h = homology(g, max_dim=8)
+        assert (h.euler_characteristic, h.betti, h.torsion) == dense_profile(g, 8)
+
+    @pytest.mark.parametrize("name", ["klein_bottle_16", "projective_plane_11"])
+    def test_leftover_carries_torsion(self, name, monkeypatch):
+        g = grown(name, 100, seed=11)
+        leftovers = []
+
+        def spy(matrix):
+            leftovers.append(matrix)
+            return smith_normal_form(matrix)
+
+        monkeypatch.setattr(invariants, "smith_normal_form", spy)
+        h = homology(g)
+        assert h.torsion == [[], [2], []]
+        assert (h.euler_characteristic, h.betti, h.torsion) == dense_profile(g, 2)
+        assert leftovers[0] == [] and leftovers[1], "Z/2 must come from the leftover block"
+
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda rows: st.lists(st.lists(st.sampled_from([0, 1, -1, 2, -3, 4]),
+                                       min_size=rows, max_size=rows),
+                              min_size=1, max_size=6)))
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_divisors_match_dense_snf(self, columns):
+        matrix = [list(row) for row in zip(*columns)]
+        sparse = [{i: x for i, x in enumerate(col) if x} for col in columns]
+        pivots, leftover = _eliminate_units(sparse)
+        assert [1] * pivots + smith_normal_form(leftover) == smith_normal_form(matrix)
 
 
 def complete_graph(k):

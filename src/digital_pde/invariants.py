@@ -2,18 +2,18 @@
 
 Homology is computed over the integers, because the torsion part
 matters here: Z/2 torsion in dimension one is what tells a Klein bottle
-apart from a torus.  Each boundary map is held as sparse columns and
-eliminated on its +-1 entries first, each pivot one elementary divisor
-1; only the block left without a unit pivot goes to the least-entry
-Smith normal form (Kaczynski, Mischaikow and Mrozek, *Computational
-Homology*, 2004).  All arithmetic uses Python integers, so there is no
-overflow to guard against.
+apart from a torus.  Each boundary map is held as sparse columns, and
+one integer elimination reduces them: a pass of pivots on +-1 entries,
+then least-entry pivots on the same columns for what is left
+(Kaczynski, Mischaikow and Mrozek, *Computational Homology*, 2004).
+All arithmetic uses Python integers, so there is no overflow to guard
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from .graph_core import DigitalSpace
 
@@ -121,87 +121,89 @@ def boundary_matrix(cx: CliqueComplex, k: int) -> List[Dict[int, int]]:
             for s in cx.simplices[k]]
 
 
-def _eliminate_units(columns: List[Dict[int, int]]) -> Tuple[int, List[List[int]]]:
-    """Pivot on +-1 entries in one pass over sparse columns, in place.
-
-    Each column maps rows to its nonzero entries.  At each column, the
-    unit entry whose row meets the fewest columns is the pivot; integer
-    column operations clear its row elsewhere, and the pivot's row and
-    column drop out, one elementary divisor 1.  A column with no unit
-    entry when the pass reaches it is left.  Returns the pivot count and
-    the leftover block as a dense matrix.
-    """
-    index: Dict[int, Set[int]] = {}  # row -> columns with a nonzero entry there
-    for j, col in enumerate(columns):
-        for r in col:
-            index.setdefault(r, set()).add(j)
-    pivots = 0
-    for j, col in enumerate(columns):
-        units = [r for r, v in col.items() if v == 1 or v == -1]
-        if not units:
-            continue
-        r = min(units, key=lambda r: len(index[r]))
-        u = col.pop(r)
-        for c in index.pop(r) - {j}:
-            other = columns[c]
-            q = other.pop(r) * u
-            for s, v in col.items():
-                x = other.get(s, 0) - q * v
-                if x:
-                    other[s] = x
-                    index[s].add(c)
-                else:
-                    del other[s]
-                    index[s].discard(c)
-        for s in col:
-            index[s].discard(j)
-        col.clear()
-        pivots += 1
-    leftover = [col for col in columns if col]
-    rows = sorted({r for col in leftover for r in col})
-    return pivots, [[col.get(r, 0) for col in leftover] for r in rows]
+def _clear_row(columns: List[Dict[int, int]], index: Dict[int, Set[int]],
+               j: int, r: int) -> int:
+    """Pop the pivot p at row r of column j, then take from every other
+    column with an entry in row r the multiple of column j that leaves
+    its remainder mod p there.  Returns p; index[r] keeps the columns
+    whose remainder is not zero."""
+    col = columns[j]
+    p = col.pop(r)
+    rest = index[r]
+    rest.discard(j)
+    for c in list(rest):
+        other = columns[c]
+        q, x = divmod(other.pop(r), p)
+        if x:
+            other[r] = x
+        else:
+            rest.discard(c)
+        for s, v in col.items():
+            y = other.get(s, 0) - q * v
+            if y:
+                other[s] = y
+                index[s].add(c)
+            else:
+                del other[s]
+                index[s].discard(c)
+    return p
 
 
-def _least(m: List[List[int]]) -> Tuple[List[int], int]:
-    """A row of m and the column of its least nonzero |entry|, least over m;
-    a unit is taken from the first row that has one."""
-    unit = next((row for row in m if 1 in row or -1 in row), None)
-    v, row = (1, unit) if unit else min((min(map(abs, filter(None, r))), r) for r in m)
-    return row, row.index(v) if v in row else row.index(-v)
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:
+def smith_normal_form(matrix: Sequence[Union[Dict[int, int], Sequence[int]]]) -> List[int]:
     """Elementary divisors d1 | d2 | ... of an integer matrix.
 
-    Exact integer elimination that pivots on an entry of least absolute
-    value (Kaczynski, Mischaikow and Mrozek, *Computational Homology*,
-    2004).  Each pass either records a divisor and drops its row, or
-    leaves a nonzero entry smaller than the pivot, so the loop always
+    ``matrix`` is a sequence of columns, each a dict from row to entry or
+    a sequence of entries; a list of rows reads as the transpose, which
+    has the same divisors.  The caller's columns are not changed.
+
+    Exact column elimination on sparse copies with a row -> columns
+    index.  One pass in column order pivots on the +-1 entry whose row
+    meets the fewest columns, each a divisor 1.  Then each pass pivots on
+    an entry of least absolute value and clears its row by floor
+    division: it either records a divisor and drops the pivot's row and
+    column, or leaves an entry smaller than the pivot, so the loop always
     terminates.  Returns the nonzero divisors, each positive, in
     divisibility order.
     """
-    m = [[int(x) for x in row] for row in matrix]
+    cols = [dict(c) if isinstance(c, dict) else dict(enumerate(c)) for c in matrix]
+    if not all(type(v) is int and v for col in cols for v in col.values()):
+        cols = [{r: int(v) for r, v in col.items() if v} for col in cols]
+    index: Dict[int, Set[int]] = {}  # row -> columns with a nonzero entry there
+    for j, col in enumerate(cols):
+        for r in col:
+            index.setdefault(r, set()).add(j)
     divisors: List[int] = []
-    while m := [row for row in m if any(row)]:
-        pivot, j = _least(m)
-        p = pivot[j]
-        for row in m:
-            if row[j] and row is not pivot:
-                q = row[j] // p
-                row[:] = [a - q * b for a, b in zip(row, pivot)]
-        if any(row[j] for row in m if row is not pivot):
-            continue  # a remainder smaller than |p| is left in column j
-        # Column j is p times a unit vector, so column operations change only
-        # the pivot row: they clear it when p divides every entry.  Otherwise
-        # add in a row p does not divide, unless the pivot row is one; reduce mod p.
-        rows = (pivot, *m) if abs(p) > 1 else ()
-        bad = next((r for r in rows if any(x % p for x in r)), None)
-        if bad is None:
-            divisors.append(abs(p))
-            pivot.clear()
-        else:
-            pivot[:] = [x % p for x in bad]
-            pivot[j] = p
+    for j, col in enumerate(cols):
+        units = [r for r, v in col.items() if v == 1 or v == -1]
+        if units:
+            _clear_row(cols, index, j, min(units, key=lambda r: len(index[r])))
+            for s in col:
+                index[s].discard(j)
+            col.clear()
+            divisors.append(1)
+    live = range(len(cols))
+    while live := [j for j in live if cols[j]]:
+        _, r, j = min((abs(v), r, j) for j in live for r, v in cols[j].items())
+        col = cols[j]
+        p = _clear_row(cols, index, j, r)
+        if not index[r]:
+            # Row r is p times a unit vector, so row operations change only
+            # column j: they clear it when p divides every entry.  Otherwise
+            # add in a column p does not divide, unless column j is one;
+            # reduce mod p.
+            bad = next((c for c in (col, *(cols[k] for k in live))
+                        if any(x % p for x in c.values())), None) if abs(p) > 1 else None
+            for s in col:
+                index[s].discard(j)
+            if bad is None:
+                divisors.append(abs(p))
+                col.clear()
+                continue
+            cols[j] = col = {s: x % p for s, x in bad.items() if x % p}
+            for s in col:
+                index[s].add(j)
+        col[r] = p
+        index[r].add(j)
     return divisors
 
 
@@ -209,18 +211,15 @@ def homology(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> HomologyProfile
     """Integral simplicial homology of the clique complex.
 
     betti[k] = dim C_k - rank d_k - rank d_{k+1}; torsion[k] collects
-    the elementary divisors of d_{k+1} that exceed one.  Each d_k is
-    eliminated on its unit entries, and only the leftover block goes to
-    smith_normal_form.  The Euler characteristic is cross-checked
-    against the Betti alternating sum.
+    the elementary divisors of d_{k+1} that exceed one.  The Euler
+    characteristic is cross-checked against the Betti alternating sum.
     Raises ValueError when g has cliques of more than max_dim + 1 points.
     """
     cx = _whole_complex(g, max_dim)
     top = cx.max_dim
     divisors = [[]]
     for k in range(1, top + 1):
-        pivots, leftover = _eliminate_units(boundary_matrix(cx, k))
-        divisors.append([1] * pivots + smith_normal_form(leftover))
+        divisors.append(smith_normal_form(boundary_matrix(cx, k)))
     divisors.append([])
     betti = [cx.count(k) - len(divisors[k]) - len(divisors[k + 1]) for k in range(top + 1)]
     torsion = [[d for d in divisors[k + 1] if d > 1] for k in range(top + 1)]

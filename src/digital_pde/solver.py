@@ -46,11 +46,11 @@ class CoefficientMatrix:
     order: C[rows[i], cols[i]] == data[i], and every other entry is zero.
     ``rule`` (if given) produces C(t) as an n x n array for t >= 1; it is
     never called at t = 0, so the stored pairs are the one C(0).
-    Both are checked against the balls of ``space``: the pairs here,
-    every C(t) when ``at`` returns it.  The object makes the three arrays
-    read-only, so they stay as checked.  Rows and columns follow
-    ``space.index``.  Build one with ``bind`` or ``bind_entries``;
-    ``toarray`` gives the dense matrix.
+    Both are checked, the pairs here and every C(t) when ``at`` returns
+    it: each value must be finite and each pair on the balls of
+    ``space``.  The object makes the three arrays read-only, so they stay
+    as checked.  Rows and columns follow ``space.index``.  Build one with
+    ``bind`` or ``bind_entries``; ``toarray`` gives the dense matrix.
     """
 
     space: DigitalSpace
@@ -79,21 +79,29 @@ class CoefficientMatrix:
         if not ((keys[1:] > keys[:-1]).all() and data.all()):
             raise ValueError("rows, cols and data must list nonzero entries, "
                              "one per pair, in row-major order")
-        self._check_support(keys)
+        self._check(keys, data)
         self.rows, self.cols, self.data = rows, cols, data
         for array in (rows, cols, data):
             array.flags.writeable = False
 
-    def _check_support(self, keys: np.ndarray) -> None:
-        """Refuse flat keys i * n + j off the balls, naming the first such
-        pair in row-major order (the keys are sorted)."""
+    def _check(self, keys: np.ndarray, data: np.ndarray) -> None:
+        """Refuse a value that is not finite, then a flat key i * n + j off
+        the balls, naming the first such pair in row-major order (the keys
+        are sorted)."""
+        nonfinite = ~np.isfinite(data)
+        if nonfinite.any():
+            k = nonfinite.argmax()
+            raise ValueError(f"coefficient {self._pair(keys[k])} is {data[k]}, "
+                             "not a finite number")
         balls = self._balls
         off = balls.take(np.searchsorted(balls, keys), mode="clip") != keys
         if off.any():
-            i, j = divmod(int(keys[off.argmax()]), self.n)
-            points = self.space.points
-            raise SupportError(f"coefficient ({points[i]},{points[j]}) "
+            raise SupportError(f"coefficient {self._pair(keys[off.argmax()])} "
                                "is nonzero but the points are not adjacent")
+
+    def _pair(self, key: int) -> str:
+        i, j = divmod(int(key), self.n)
+        return f"({self.space.points[i]},{self.space.points[j]})"
 
     @property
     def n(self) -> int:
@@ -104,7 +112,7 @@ class CoefficientMatrix:
         if self.rule is None or t == 0:
             return self.rows, self.cols, self.data
         keys, data = _nonzero(self.rule(t), self.n)
-        self._check_support(keys)
+        self._check(keys, data)
         rows, cols = np.divmod(keys, self.n)
         return rows, cols, data
 
@@ -287,7 +295,12 @@ def _iterate(problem: Problem) -> Trajectory:
     f = problem.initial.copy()
     if rows:
         _clamp(f, problem, rows, 0)
-    record = [f]
+    # Row t of the record is f(t).  It starts small and doubles in place
+    # when full, rather than being sized by the step cap, which may be far
+    # beyond memory for a run that converges early.  Resizing in place is
+    # safe because no view of it exists until the run ends.
+    record = np.empty((min(problem.steps, 255) + 1, len(f)))
+    record[0] = f
     # 1-norms by np.add.reduce: the sum ndarray.sum computes, without its
     # Python wrapper (two calls a step, about 6% of a step at n = 16).
     total, absolute = np.add.reduce, np.abs
@@ -299,7 +312,9 @@ def _iterate(problem: Problem) -> Trajectory:
         nxt = step(f, c, t, None if source is None else source(t))
         if rows:
             _clamp(nxt, problem, rows, t + 1)
-        record.append(nxt)
+        if t + 1 == len(record):
+            record.resize((2 * len(record), len(f)), refcheck=False)
+        record[t + 1] = nxt
         norm = float(total(absolute(nxt)))
         norms.append(norm)
         if not norm <= guard:
@@ -309,7 +324,7 @@ def _iterate(problem: Problem) -> Trajectory:
         f = nxt
         if converged:
             break
-    values = np.stack(record)
+    values = record[:len(norms)]
     return Trajectory(values, values.sum(axis=1), np.array(norms), converged)
 
 
@@ -422,13 +437,25 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     return SpectralReport(True, True, column)
 
 
+def _field(c: CoefficientMatrix, f: np.ndarray, name: str) -> np.ndarray:
+    """``f`` as a float array, refused unless it holds one value per point."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (c.n,):
+        raise ValueError(f"{name}: expected shape ({c.n},), got {f.shape}")
+    return f
+
+
 def stationary_solution(c: CoefficientMatrix, f0: np.ndarray) -> FieldState:
-    """f_inf = S * stationary column, with S the initial total mass."""
+    """f_inf = S * stationary column, with S the initial total mass.
+    ``f0`` must hold one finite value per point."""
+    f0 = _field(c, f0, "f0")
+    if not np.isfinite(f0).all():
+        raise ValueError("f0: values must be finite")
     report = limit_matrix(c)
     if not report.primitive:
         raise ValueError(
             "coefficients are not primitive; inspect limit_matrix diagnostics")
-    total = float(np.asarray(f0, dtype=float).sum())
+    total = float(f0.sum())
     return FieldState(t=-1, values=total * report.stationary_column)
 
 
@@ -436,12 +463,17 @@ def elliptic_residual(c: CoefficientMatrix, f: np.ndarray,
                       points: Optional[Sequence[int]] = None) -> float:
     """1-norm of f - C f; zero exactly at fixed points.
 
-    ``points`` restricts the residual to a subset (used for boundary
-    value problems, where clamped points are not expected to balance).
+    ``f`` holds one value per point.  ``points`` restricts the residual
+    to a subset (used for boundary value problems, where clamped points
+    are not expected to balance); an unknown point raises
+    UnknownPointError.
     """
-    f = np.asarray(f, dtype=float)
+    f = _field(c, f, "f")
     diff = f - _times(c.rows, c.cols, c.data, f)
     if points is not None:
-        rows = [c.space.index[p] for p in points]
+        try:
+            rows = [c.space.index[p] for p in points]
+        except KeyError as exc:
+            raise UnknownPointError(f"unknown point {exc.args[0]}") from None
         diff = diff[rows]
     return float(np.abs(diff).sum())

@@ -8,7 +8,7 @@ divisor list.  It does not terminate on every integer matrix (see
 ``tests/test_invariants.py``), so tests give it only boundary matrices.
 
 ``dense`` turns the sparse columns of ``invariants.boundary_matrix``
-into the rows x columns list of lists both routines read.
+into the rows x columns list of lists this routine reads.
 """
 
 from typing import Dict, List, Sequence

@@ -95,6 +95,19 @@ class TestBind:
         with pytest.raises(UnknownPointError, match="unknown point 9"):
             bind_entries(four_cycle, [(1, 1, 0.5), (1, 9, 0.5)])
 
+    def test_non_finite_coefficients_refused(self, four_cycle):
+        mat = np.eye(4)
+        mat[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"\(1,1\) is nan"):
+            bind(four_cycle, mat)
+        with pytest.raises(ValueError, match=r"\(1,2\) is inf"):
+            uniform_coefficients(four_cycle, np.inf, 0.4)
+        with pytest.raises(ValueError, match=r"\(2,1\) is -inf"):
+            bind_entries(four_cycle, [(1, 1, 1.0), (2, 1, -np.inf)])
+        c = bind(four_cycle, np.eye(4), rule=lambda t: mat)
+        with pytest.raises(ValueError, match=r"\(1,1\) is nan"):
+            solve_ivp(Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0))
+
 
 class TestOwnership:
     def test_later_write_to_the_callers_array_is_not_seen(self, four_cycle):
@@ -253,6 +266,26 @@ class TestSolveIvp:
         f0[0] = 16.0
         trajectory = solve_ivp(Problem(klein, klein_coeffs, f0, steps=40))
         assert all(abs(s - 16.0) < 1e-9 for s in trajectory.sums)
+
+    def test_record_grows_past_its_first_size(self, klein, klein_coeffs):
+        f0 = np.zeros(16)
+        f0[0] = 16.0
+        trajectory = solve_ivp(Problem(klein, klein_coeffs, f0, steps=600, tol=0.0))
+        assert len(trajectory.values) == 601
+        f = f0
+        for t, row in enumerate(trajectory.values):
+            np.testing.assert_array_equal(row, f)
+            f = step(f, klein_coeffs, t)
+
+    def test_step_cap_far_beyond_memory(self, klein, klein_coeffs):
+        # 10**8 rows of 16 values would not fit in memory; the run stops
+        # on tol long before, and only its rows are stored.
+        f0 = np.zeros(16)
+        f0[0] = 16.0
+        trajectory = solve_ivp(Problem(klein, klein_coeffs, f0, steps=10**8, tol=1e-10))
+        assert trajectory.converged
+        np.testing.assert_array_equal(
+            trajectory.values, solve_ivp(Problem(klein, klein_coeffs, f0)).values)
 
     def test_divergence_guard(self, four_cycle):
         mat = np.eye(4) * 2.0  # doubles mass each step
@@ -425,10 +458,29 @@ class TestStationarySolution:
         with pytest.raises(ValueError):
             stationary_solution(bind(four_cycle, np.eye(4)), np.ones(4))
 
+    def test_f0_of_another_shape_refused(self, klein_coeffs):
+        with pytest.raises(ValueError, match=r"f0: expected shape \(16,\)"):
+            stationary_solution(klein_coeffs, [1.0, 2.0])
+
+    def test_non_finite_f0_refused(self, klein_coeffs):
+        f0 = np.ones(16)
+        f0[3] = np.nan
+        with pytest.raises(ValueError, match="f0: values must be finite"):
+            stationary_solution(klein_coeffs, f0)
+
 
 class TestEllipticResidual:
     def test_zero_vector(self, klein_coeffs):
         assert elliptic_residual(klein_coeffs, np.zeros(16)) == 0.0
+
+    @pytest.mark.parametrize("size", [20, 3])
+    def test_f_of_another_shape_refused(self, klein_coeffs, size):
+        with pytest.raises(ValueError, match=r"f: expected shape \(16,\)"):
+            elliptic_residual(klein_coeffs, np.ones(size))
+
+    def test_unknown_point_named(self, klein_coeffs):
+        with pytest.raises(UnknownPointError, match="unknown point 99"):
+            elliptic_residual(klein_coeffs, np.ones(16), points=[99])
 
     def test_stationary_solution_residual(self, klein_coeffs):
         f_inf = stationary_solution(klein_coeffs, np.ones(16))

@@ -12,6 +12,7 @@ against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple, Union
 
@@ -93,6 +94,8 @@ def _whole_complex(g: DigitalSpace, max_dim: int) -> CliqueComplex:
     off at max_dim has the wrong Euler characteristic and mis-ranks its
     top degree, whose homology depends on the boundary from above.
     """
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
     cx = clique_complex(g, max_dim + 1)
     if cx.max_dim > max_dim:
         raise ValueError(
@@ -154,7 +157,9 @@ def smith_normal_form(matrix: Sequence[Union[Dict[int, int], Sequence[int]]]) ->
 
     ``matrix`` is a sequence of columns, each a dict from row to entry or
     a sequence of entries; a list of rows reads as the transpose, which
-    has the same divisors.  The caller's columns are not changed.
+    has the same divisors.  The caller's columns are not changed.  An
+    entry must be an integer (an int, a bool or a NumPy integer); any
+    other is refused with a ValueError naming its column and row.
 
     Exact column elimination on sparse copies with a row -> columns
     index.  One pass in column order pivots on the +-1 entry whose row
@@ -167,7 +172,14 @@ def smith_normal_form(matrix: Sequence[Union[Dict[int, int], Sequence[int]]]) ->
     """
     cols = [dict(c) if isinstance(c, dict) else dict(enumerate(c)) for c in matrix]
     if not all(type(v) is int and v for col in cols for v in col.values()):
-        cols = [{r: int(v) for r, v in col.items() if v} for col in cols]
+        for j, col in enumerate(cols):
+            for r, v in col.items():
+                try:
+                    col[r] = operator.index(v)
+                except TypeError:
+                    raise ValueError(
+                        f"column {j}, row {r}: entry {v!r} is not an integer") from None
+        cols = [{r: v for r, v in col.items() if v} for col in cols]
     index: Dict[int, Set[int]] = {}  # row -> columns with a nonzero entry there
     for j, col in enumerate(cols):
         for r in col:

@@ -24,6 +24,15 @@ Greedy deletion can dead-end in principle, so contractibility is a
 depth-first search over deletion choices, run on an explicit stack
 because a deletion sequence is as long as the graph.  A graph with a
 point adjacent to all others is contractible outright (the cone lemma).
+
+A "no" would need every deletion order, so the Euler characteristic of
+the clique complex cuts it short.  The cliques containing a point v are
+v joined to a clique of its rim, so chi(G) = chi(G - v) + 1 - chi(rim
+of v); a simple point's rim is contractible, so by induction a
+contractible graph has chi = 1 and a simple deletion keeps chi.  The
+first time a search would backtrack from below its start, it counts chi
+of that state on bitsets and answers "no" when chi != 1.  A graph with
+chi = 1 is still searched in full.
 """
 
 from __future__ import annotations
@@ -99,6 +108,9 @@ class _Verdicts:
         self.adj = {v: g.neighbors(v) for v in g.points}
         self.index = g.index
         self._contractible: Dict[frozenset, bool] = {}
+        self._bits: Dict[int, int] = {}  # point -> 1 << its index, once chi is needed
+        self._nbits: List[int] = []  # index -> the bits of the point's neighbours
+        self._chi: Dict[int, int] = {}  # chi by bitset
         self._failure: Dict[Tuple[frozenset, int, str], Optional[Failure]] = {}
 
     def connected(self, pts: frozenset) -> bool:
@@ -135,12 +147,49 @@ class _Verdicts:
             if self.is_simple(live, v):
                 yield v
 
+    def euler_characteristic(self, pts: frozenset) -> int:
+        """chi of the clique complex of ``pts``, counted on bitsets."""
+        bits = self._bits
+        if not bits:
+            bits.update((v, 1 << i) for v, i in self.index.items())
+            self._nbits = [sum(map(bits.__getitem__, nb)) for nb in self.adj.values()]
+        return self._chi_of(sum(map(bits.__getitem__, pts)))
+
+    def _chi_of(self, mask: int) -> int:
+        """Grouped by their lowest point v, the cliques are v joined to a
+        clique, empty or not, of v's neighbours above it, which adds
+        1 - chi(those neighbours)."""
+        chi = self._chi.get(mask)
+        if chi is None:
+            nbits = self._nbits
+            chi = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                above = nbits[low.bit_length() - 1] & rest
+                chi += 1 - self._chi_of(above) if above else 1
+            self._chi[mask] = chi
+        return chi
+
     def reduction(self, start: frozenset) -> Optional[List[int]]:
         """Simple-point deletions reducing connected ``start`` to one
-        point, the first such sequence in search order, or None."""
+        point, the first such sequence in search order, or None.
+
+        The first time the search would backtrack from a state below
+        ``start``, chi of that state is counted, and chi != 1 ends the
+        search with None.  This is exact: the cliques containing v are v
+        joined to a clique of its rim, so chi(G) = chi(G - v) + 1 -
+        chi(rim of v).  A simple point's rim is contractible, and by
+        induction on size a contractible graph has chi = 1, so a simple
+        deletion keeps chi.  Every state on the stack therefore has the
+        chi of ``start``, and none of them is contractible when it is
+        not 1.  A "yes" search has chi = 1, so it runs, and finds its
+        order, exactly as without the count."""
         memo = self._contractible
         order: List[int] = []
         stack = [(start, self._simple_points(start))]
+        counted = False
         while len(stack[-1][0]) > 1:
             live, candidates = stack[-1]
             for v in candidates:
@@ -150,6 +199,12 @@ class _Verdicts:
                     stack.append((rest, self._simple_points(rest)))
                     break
             else:
+                if not counted and len(stack) > 1:
+                    counted = True
+                    if self.euler_characteristic(live) != 1:
+                        for state, _ in stack:
+                            memo[state] = False
+                        return None
                 memo[live] = False
                 stack.pop()
                 if not stack:
@@ -203,7 +258,11 @@ def is_contractible(g: DigitalSpace) -> Tuple[bool, Optional[ReductionTrace]]:
 
     Returns the verdict and, when contractible, a witnessing deletion
     order.  The search is exact: it backtracks over deletion choices
-    rather than trusting a greedy order.
+    rather than trusting a greedy order.  Simple deletions keep the
+    Euler characteristic of the clique complex, and a contractible
+    graph has chi = 1, so the first time the search would backtrack it
+    counts chi and answers False when chi != 1; only a graph with
+    chi = 1 pays for the full search before a False.
     """
     if len(g.points) == 0:
         raise ValueError("contractibility is undefined for the empty graph")

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +120,12 @@ class TestEulerCharacteristic:
     def test_torus(self, torus):
         assert euler_characteristic(torus) == 0
 
+    def test_negative_max_dim_refused(self, four_cycle):
+        with pytest.raises(ValueError, match=r"^max_dim must be >= 0$"):
+            euler_characteristic(four_cycle, -1)
+        with pytest.raises(ValueError, match=r"^max_dim must be >= 0$"):
+            homology(four_cycle, -1)
+
 
 class TestSmithNormalForm:
     def test_zero_matrix(self):
@@ -164,6 +171,20 @@ class TestSmithNormalForm:
     @settings(max_examples=300, deadline=None)
     def test_matches_determinantal_divisors(self, matrix):
         assert smith_normal_form(matrix) == determinantal_divisors(matrix)
+
+    @pytest.mark.parametrize("matrix, where", [
+        ([[2.5]], "column 0, row 0"),
+        ([["3"]], "column 0, row 0"),
+        ([[1, 0], [2, float("nan")]], "column 1, row 1"),
+        ([{0: 2}, {4: 1.0}], "column 1, row 4"),
+    ])
+    def test_non_integer_entry_refused(self, matrix, where):
+        with pytest.raises(ValueError, match=f"{where}: entry .* is not an integer"):
+            smith_normal_form(matrix)
+
+    def test_integer_types_accepted(self):
+        assert smith_normal_form([[True, 0], [0, np.int64(3)]]) == [1, 3]
+        assert smith_normal_form(np.array([[2, 0], [0, 3]])) == [1, 6]
 
     def test_runaway_matrix_terminates(self):
         # A subprocess, so that a loop that does not terminate fails the

@@ -1,5 +1,12 @@
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from digital_pde import catalog
 from digital_pde.canonical import are_isomorphic
 from digital_pde.graph_core import (
     DigitalSpace,
@@ -8,9 +15,10 @@ from digital_pde.graph_core import (
     join,
     path_space,
 )
-from digital_pde.invariants import euler_characteristic, homology
+from digital_pde.invariants import clique_complex, euler_characteristic, homology
 from digital_pde.topology import (
     ReductionTrace,
+    _Verdicts,
     attach_edge,
     attach_point,
     cone,
@@ -26,6 +34,8 @@ from digital_pde.topology import (
     r_transform,
     zero_sphere,
 )
+
+from test_topology_reference import graphs
 
 
 class TestContractible:
@@ -297,3 +307,92 @@ class TestSimpleDeletionInvariance:
             if deleted == 3:
                 break
         assert deleted == 3
+
+
+def punctured_patch(side):
+    """The side x side plane patch minus the ball of its centre point: an
+    annulus, chi 0, so not contractible."""
+    g = catalog.digital_plane_patch(side, side).space
+    centre = (side // 2) * side + side // 2 + 1
+    return g.delete_points(g.neighbors(centre) | {centre})
+
+
+def wedge_octahedron_4cycle():
+    """An octahedron and a 4-cycle sharing point 1: chi = 2 + 0 - 1 = 1,
+    yet not contractible."""
+    g = minimal_sphere(2)
+    return DigitalSpace(list(g.points) + [7, 8, 9],
+                        list(g.edges) + [(1, 7), (7, 8), (8, 9), (9, 1)])
+
+
+def run_isolated(code):
+    """Run ``code`` in a fresh interpreter that sees ``src`` and ``bench``,
+    so that an exponential search fails the test instead of hanging it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "bench")]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+@st.composite
+def graphs_and_subsets(draw):
+    g = draw(graphs(max_points=10))
+    return g, draw(st.frozensets(st.sampled_from(g.points)))
+
+
+class TestChiRefutation:
+    def test_punctured_7x7_patch_in_subprocess(self):
+        code = ("from digital_pde import catalog; "
+                "from digital_pde.topology import is_contractible; "
+                "g = catalog.digital_plane_patch(7, 7).space; "
+                "print(is_contractible(g.delete_points(g.neighbors(25) | {25})))")
+        assert run_isolated(code) == "(False, None)"
+
+    def test_grown_torus_as_sphere_in_subprocess(self):
+        code = ("import random, inputs; "
+                "from digital_pde import catalog; "
+                "from digital_pde.topology import is_n_sphere; "
+                "g = inputs.grow(catalog.space('torus_16'), 10, random.Random(10)); "
+                "r = is_n_sphere(g, 2); "
+                "print(len(g.points), r.ok, r.witness_point, r.witness_reason, sep='|')")
+        assert run_isolated(code) == \
+            "26|False|1|deleting 1 leaves a non-contractible graph"
+
+    @given(graphs_and_subsets())
+    @settings(max_examples=150, deadline=None)
+    def test_bitset_chi_matches_clique_complex(self, case):
+        g, pts = case
+        expected = clique_complex(g.induced(pts), len(pts)).euler_characteristic()
+        assert _Verdicts(g).euler_characteristic(pts) == expected
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        calls = []
+        count = _Verdicts.euler_characteristic
+
+        def spy(self, pts):
+            calls.append(pts)
+            return count(self, pts)
+
+        monkeypatch.setattr(_Verdicts, "euler_characteristic", spy)
+        return calls
+
+    def test_dead_root_counts_nothing(self, counts):
+        assert is_contractible(minimal_sphere(5)) == (False, None)
+        assert counts == []
+
+    def test_punctured_patch_counts_once(self, counts):
+        assert is_contractible(punctured_patch(5)) == (False, None)
+        assert len(counts) == 1
+
+    def test_wedge_with_chi_1_is_refuted_by_the_search(self, counts):
+        wedge = wedge_octahedron_4cycle()
+        assert euler_characteristic(wedge) == 1
+        assert is_contractible(wedge) == (False, None)
+        # With a pendant point the search goes one state deep before its
+        # dead end; chi = 1 there, so the full search refutes it.
+        assert is_contractible(wedge.add_point(10, [7])) == (False, None)
+        assert len(counts) == 1

@@ -32,6 +32,10 @@ class CatalogVerificationError(RuntimeError):
     """A catalog entry failed its own stored expectations."""
 
 
+class CatalogDataError(RuntimeError):
+    """A stored catalog file is missing or is not valid graph JSON."""
+
+
 @dataclass
 class CatalogEntry:
     name: str
@@ -53,8 +57,12 @@ _STORED: Dict[str, DigitalSpace] = {}
 def _load_stored(name: str) -> DigitalSpace:
     path = os.path.realpath(os.path.join(data_dir(), f"{name}.json"))
     if path not in _STORED:
-        with open(path) as f:
-            _STORED[path] = DigitalSpace.from_json_dict(json.load(f))
+        try:
+            with open(path) as f:
+                _STORED[path] = DigitalSpace.from_json_dict(json.load(f))
+        except (OSError, KeyError, ValueError) as exc:  # KeyError: an edge to no point
+            reason = exc.args[0] if isinstance(exc, KeyError) else getattr(exc, "strerror", exc)
+            raise CatalogDataError(f"catalog data {path}: {reason}") from None
     return _STORED[path]
 
 

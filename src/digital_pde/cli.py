@@ -17,7 +17,7 @@ import numpy as np
 
 from . import catalog, experiments
 from .graph_core import DigitalSpace
-from .invariants import DEFAULT_MAX_DIM, homology
+from .invariants import homology
 from .problem_io import ProblemFormatError, _finite, _steps, problem_from_json, trajectory_csv
 from .solver import DivergenceError, Problem, bind_entries, solve_bvp, solve_ivp
 from .svgplot import line_chart
@@ -47,7 +47,16 @@ def _fail_input(message: str) -> None:
     sys.exit(EXIT_INPUT)
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """A missing or broken stored catalog file is an input error."""
+        try:
+            return super().invoke(ctx)
+        except catalog.CatalogDataError as exc:
+            _fail_input(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Digital manifolds and explicit diffusion equations on them."""
 
@@ -114,13 +123,7 @@ def verify(source, dim, kind):
 @click.argument("source")
 def invariants_cmd(source):
     """Euler characteristic and integral homology of the clique complex."""
-    g = _load_graph(source)
-    try:
-        profile = homology(g)
-    except ValueError:
-        _fail_input(f"clique complex of {source} has cliques above the supported size "
-                    f"({DEFAULT_MAX_DIM + 1} points)")
-    click.echo(json.dumps(profile.to_json_dict(), indent=2))
+    click.echo(json.dumps(homology(_load_graph(source)).to_json_dict(), indent=2))
 
 
 @main.command("transform")

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from .graph_core import DigitalSpace
-
-DEFAULT_MAX_DIM = 6  # covers every catalog space; 5-cliques appear in the 4-sphere
 
 
 @dataclass
@@ -60,20 +58,18 @@ class HomologyProfile:
         }
 
 
-def clique_complex(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> CliqueComplex:
-    """Enumerate all cliques of size <= max_dim + 1, grouped by dimension.
+def clique_complex(g: DigitalSpace) -> CliqueComplex:
+    """Enumerate every clique of g, grouped by dimension.
 
     Expansion is incremental: (k+1)-cliques are grown from k-cliques by
     adding a larger vertex adjacent to all members, so the result is
-    face-closed by construction.
+    face-closed by construction.  It is never cut off at a dimension:
+    a cut-off complex mis-ranks its top degree (K8 would not be acyclic).
     """
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
     levels: List[List[Tuple[int, ...]]] = [[(p,) for p in sorted(g.points)]]
-    while len(levels) <= max_dim:
-        prev = levels[-1]
+    while True:
         nxt = []
-        for clique in prev:
+        for clique in levels[-1]:
             common = g.neighbors(clique[0])
             for p in clique[1:]:
                 common = common & g.neighbors(p)
@@ -82,31 +78,38 @@ def clique_complex(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> CliqueCom
                 if w > last:
                     nxt.append(clique + (w,))
         if not nxt:
-            break
+            return CliqueComplex(levels)
         levels.append(nxt)
-    return CliqueComplex(levels)
 
 
-def _whole_complex(g: DigitalSpace, max_dim: int) -> CliqueComplex:
-    """The clique complex of g, refused when it has simplices above max_dim.
+def chi_counter(g: DigitalSpace) -> Callable[[Iterable[int]], int]:
+    """The function taking a point set S of g to chi of the clique
+    complex of S, counted on bitsets (bit i is ``g.points[i]``) and
+    memoized by bitset.  Grouped by their lowest point v, the cliques of
+    S are v joined to a clique, empty or not, of v's neighbours in S
+    above it, which adds 1 - chi(those neighbours)."""
+    bit = {p: 1 << i for p, i in g.index.items()}
+    nbits = [sum(map(bit.__getitem__, g.neighbors(p))) for p in g.points]
+    memo: Dict[int, int] = {}
 
-    Enumeration goes one degree past max_dim to find out: a complex cut
-    off at max_dim has the wrong Euler characteristic and mis-ranks its
-    top degree, whose homology depends on the boundary from above.
-    """
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
-    cx = clique_complex(g, max_dim + 1)
-    if cx.max_dim > max_dim:
-        raise ValueError(
-            f"clique complex has {max_dim + 2}-point cliques, above max_dim={max_dim}; "
-            f"pass a larger max_dim")
-    return cx
+    def chi(mask: int) -> int:
+        value = memo.get(mask)
+        if value is None:
+            value, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                above = nbits[low.bit_length() - 1] & rest
+                value += 1 - chi(above) if above else 1
+            memo[mask] = value
+        return value
+
+    return lambda pts: chi(sum(map(bit.__getitem__, pts)))
 
 
-def euler_characteristic(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> int:
+def euler_characteristic(g: DigitalSpace) -> int:
     """Alternating sum of clique counts."""
-    return _whole_complex(g, max_dim).euler_characteristic()
+    return chi_counter(g)(g.points)
 
 
 def boundary_matrix(cx: CliqueComplex, k: int) -> List[Dict[int, int]]:
@@ -219,15 +222,14 @@ def smith_normal_form(matrix: Sequence[Union[Dict[int, int], Sequence[int]]]) ->
     return divisors
 
 
-def homology(g: DigitalSpace, max_dim: int = DEFAULT_MAX_DIM) -> HomologyProfile:
+def homology(g: DigitalSpace) -> HomologyProfile:
     """Integral simplicial homology of the clique complex.
 
     betti[k] = dim C_k - rank d_k - rank d_{k+1}; torsion[k] collects
     the elementary divisors of d_{k+1} that exceed one.  The Euler
     characteristic is cross-checked against the Betti alternating sum.
-    Raises ValueError when g has cliques of more than max_dim + 1 points.
     """
-    cx = _whole_complex(g, max_dim)
+    cx = clique_complex(g)
     top = cx.max_dim
     divisors = [[]]
     for k in range(1, top + 1):

@@ -174,7 +174,12 @@ def bind_entries(space: DigitalSpace,
 
 def uniform_coefficients(space: DigitalSpace, offdiag: float,
                          diag: Union[float, Dict[int, float]]) -> CoefficientMatrix:
-    """Same weight on every edge, per-point (or constant) diagonal."""
+    """Same weight on every edge, per-point (or constant) diagonal.  A
+    ``diag`` map must give a value for exactly the points of the space."""
+    if isinstance(diag, dict) and diag.keys() != space.index.keys():
+        p = next(p for p in (*space.points, *diag) if (p in diag) != (p in space))
+        raise ValueError(f"diag: point {p!r} " + ("has no value" if p in space
+                                                  else "is not in the space"))
     entries = [(u, v, offdiag) for u, v in space.edges]
     entries += [(v, u, offdiag) for u, v in space.edges]
     entries += [(p, p, diag[p] if isinstance(diag, dict) else diag) for p in space.points]

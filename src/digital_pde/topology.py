@@ -38,9 +38,10 @@ chi = 1 is still searched in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .graph_core import DigitalSpace, UnknownEdgeError, UnknownPointError, join
+from .invariants import chi_counter
 
 
 def clear_caches() -> None:
@@ -105,12 +106,11 @@ class _Verdicts:
     """
 
     def __init__(self, g: DigitalSpace):
+        self.g = g
         self.adj = {v: g.neighbors(v) for v in g.points}
         self.index = g.index
         self._contractible: Dict[frozenset, bool] = {}
-        self._bits: Dict[int, int] = {}  # point -> 1 << its index, once chi is needed
-        self._nbits: List[int] = []  # index -> the bits of the point's neighbours
-        self._chi: Dict[int, int] = {}  # chi by bitset
+        self._chi: Optional[Callable[[frozenset], int]] = None  # once chi is needed
         self._failure: Dict[Tuple[frozenset, int, str], Optional[Failure]] = {}
 
     def connected(self, pts: frozenset) -> bool:
@@ -149,28 +149,9 @@ class _Verdicts:
 
     def euler_characteristic(self, pts: frozenset) -> int:
         """chi of the clique complex of ``pts``, counted on bitsets."""
-        bits = self._bits
-        if not bits:
-            bits.update((v, 1 << i) for v, i in self.index.items())
-            self._nbits = [sum(map(bits.__getitem__, nb)) for nb in self.adj.values()]
-        return self._chi_of(sum(map(bits.__getitem__, pts)))
-
-    def _chi_of(self, mask: int) -> int:
-        """Grouped by their lowest point v, the cliques are v joined to a
-        clique, empty or not, of v's neighbours above it, which adds
-        1 - chi(those neighbours)."""
-        chi = self._chi.get(mask)
-        if chi is None:
-            nbits = self._nbits
-            chi = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                above = nbits[low.bit_length() - 1] & rest
-                chi += 1 - self._chi_of(above) if above else 1
-            self._chi[mask] = chi
-        return chi
+        if self._chi is None:
+            self._chi = chi_counter(self.g)
+        return self._chi(pts)
 
     def reduction(self, start: frozenset) -> Optional[List[int]]:
         """Simple-point deletions reducing connected ``start`` to one

@@ -156,3 +156,32 @@ class TestDataOverride:
         with pytest.raises(catalog.CatalogVerificationError,
                            match=r"rim of 1 has 3 points, expected 4"):
             catalog.verify_entry(catalog.entry("moebius_12"))
+
+
+class TestBrokenData:
+    """A stored file that is missing or not valid graph JSON is a
+    CatalogDataError naming the file, not a KeyError that would read as
+    an unknown name."""
+
+    def test_missing_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(tmp_path))
+        with pytest.raises(catalog.CatalogDataError,
+                           match=r"klein_bottle_16\.json: No such file") as info:
+            catalog.space("klein_bottle_16")
+        assert not isinstance(info.value, KeyError)
+
+    def test_edge_to_missing_point(self, tmp_path, monkeypatch):
+        d = catalog.space("klein_bottle_16").to_json_dict()
+        d["edges"].append([1, 99])
+        (tmp_path / "klein_bottle_16.json").write_text(json.dumps(d))
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(tmp_path))
+        with pytest.raises(catalog.CatalogDataError,
+                           match=r"klein_bottle_16\.json: edge \(1,99\) endpoint not a point$"):
+            catalog.entry("klein_bottle_16")
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"points": [1], "edges": [[1]]}'])
+    def test_not_graph_json(self, tmp_path, monkeypatch, text):
+        (tmp_path / "moebius_12.json").write_text(text)
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(tmp_path))
+        with pytest.raises(catalog.CatalogDataError, match=r"moebius_12\.json: "):
+            catalog.space("moebius_12")

@@ -46,6 +46,34 @@ class TestCatalogCommands:
         assert result.exit_code == 2
 
 
+class TestBrokenCatalogData:
+    """A missing or broken stored catalog file exits 2 with one error line
+    naming it, for every command that loads it."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "klein_bottle_16", "--n", "2"],
+        ["solve", "{problem}"],
+        ["catalog", "export", "klein_bottle_16"],
+        ["catalog", "list"],
+    ], ids=["verify", "solve", "export", "list"])
+    @pytest.mark.parametrize("broken", ["missing", "edge-to-no-point"])
+    def test_exit_2_naming_the_file(self, runner, tmp_path, monkeypatch, args, broken):
+        data = tmp_path / "data"
+        data.mkdir()
+        if broken == "edge-to-no-point":
+            d = json.loads(runner.invoke(main, ["catalog", "export", "klein_bottle_16"]).output)
+            d["edges"].append([1, 99])
+            (data / "klein_bottle_16.json").write_text(json.dumps(d))
+        monkeypatch.setenv("DIGITAL_PDE_DATA", str(data))
+        problem = klein_problem(tmp_path)
+        result = runner.invoke(main, [a.format(problem=problem) for a in args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: catalog data ")
+        assert str(data / "klein_bottle_16.json") in lines[0]
+
+
 class TestVerifyCommand:
     def test_sphere_pass(self, runner):
         result = runner.invoke(main, ["verify", "s2_min", "--n", "2",
@@ -115,15 +143,15 @@ class TestInvariantsCommand:
         assert d["betti"] == [1, 1, 0]
         assert d["torsion"][1] == [2]
 
-    def test_clique_above_max_dim_is_input_error(self, runner, tmp_path):
+    def test_k8_is_a_simplex(self, runner, tmp_path):
         pts = list(range(1, 9))
         k8 = {"points": pts, "edges": [[i, j] for i in pts for j in pts if i < j]}
         path = tmp_path / "k8.json"
         path.write_text(json.dumps(k8))
         result = runner.invoke(main, ["invariants", str(path)])
-        assert result.exit_code == 2
-        assert "cliques above the supported size (7 points)" in result.output
-        assert "pass a larger max_dim" not in result.output
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {
+            "chi": 1, "betti": [1, 0, 0, 0, 0, 0, 0, 0], "torsion": [[]] * 8}
 
 
 class TestTransformCommand:

@@ -94,10 +94,6 @@ class TestCliqueComplex:
         cx = clique_complex(octahedron)
         assert [cx.count(k) for k in range(4)] == [6, 12, 8, 0]
 
-    def test_max_dim_cap(self, octahedron):
-        cx = clique_complex(octahedron, max_dim=1)
-        assert cx.max_dim == 1
-
     def test_face_closed(self, klein):
         cx = clique_complex(klein)
         for k in range(1, cx.max_dim + 1):
@@ -119,12 +115,6 @@ class TestEulerCharacteristic:
 
     def test_torus(self, torus):
         assert euler_characteristic(torus) == 0
-
-    def test_negative_max_dim_refused(self, four_cycle):
-        with pytest.raises(ValueError, match=r"^max_dim must be >= 0$"):
-            euler_characteristic(four_cycle, -1)
-        with pytest.raises(ValueError, match=r"^max_dim must be >= 0$"):
-            homology(four_cycle, -1)
 
 
 class TestSmithNormalForm:
@@ -253,9 +243,9 @@ class TestHomology:
         assert set(d) == {"chi", "betti", "torsion"}
 
 
-def dense_profile(g, max_dim):
+def dense_profile(g):
     """Homology from the densified boundary maps and the reference SNF."""
-    cx = clique_complex(g, max_dim)
+    cx = clique_complex(g)
     top = cx.max_dim
     divisors = [[]] + [ref.smith_normal_form(ref.dense(boundary_matrix(cx, k), cx.count(k - 1)))
                        for k in range(1, top + 1)] + [[]]
@@ -281,16 +271,15 @@ class TestUnitElimination:
     @given(graphs())
     @settings(max_examples=150, deadline=None)
     def test_homology_matches_dense_reference(self, g):
-        # 9 points have at most 9-point cliques, so max_dim=8 is the whole complex
-        h = homology(g, max_dim=8)
-        assert (h.euler_characteristic, h.betti, h.torsion) == dense_profile(g, 8)
+        h = homology(g)
+        assert (h.euler_characteristic, h.betti, h.torsion) == dense_profile(g)
 
     @pytest.mark.parametrize("name", ["klein_bottle_16", "projective_plane_11"])
     def test_grown_surface_carries_torsion(self, name):
         g = grown(name, 100, seed=11)
         h = homology(g)
         assert h.torsion == [[], [2], []]
-        assert (h.euler_characteristic, h.betti, h.torsion) == dense_profile(g, 2)
+        assert (h.euler_characteristic, h.betti, h.torsion) == dense_profile(g)
 
     @given(st.integers(min_value=1, max_value=6).flatmap(
         lambda rows: st.lists(st.lists(st.sampled_from([0, 1, -1, 2, -3, 4]),
@@ -309,33 +298,14 @@ def complete_graph(k):
     return DigitalSpace(pts, [(i, j) for i in pts for j in pts if i < j])
 
 
-class TestCliqueTruncation:
+class TestCompleteGraph:
     """A complete graph is a simplex: acyclic, chi 1.  Its clique complex
-    reaches past the default max_dim from K8 on."""
+    is enumerated whole at any size; one cut off below its top dimension
+    would rank the top degree wrong."""
 
-    def test_k7_within_default(self):
-        h = homology(complete_graph(7))
-        assert h.euler_characteristic == 1
-        assert h.betti == [1, 0, 0, 0, 0, 0, 0]
-        assert not any(h.torsion)
-
-    def test_k8_refused_at_default(self):
-        with pytest.raises(ValueError, match="max_dim=6"):
-            homology(complete_graph(8))
-        with pytest.raises(ValueError, match="max_dim=6"):
-            euler_characteristic(complete_graph(8))
-
-    def test_k8_with_room(self):
-        h = homology(complete_graph(8), max_dim=7)
-        assert h.euler_characteristic == 1
-        assert h.betti == [1] + [0] * 7
-
-    def test_k9_refused_at_default(self):
-        with pytest.raises(ValueError, match="max_dim=6"):
-            homology(complete_graph(9))
-
-    def test_k9_with_room(self):
-        h = homology(complete_graph(9), max_dim=8)
-        assert h.euler_characteristic == 1
-        assert h.betti == [1] + [0] * 8
+    @pytest.mark.parametrize("k", [7, 8, 9, 12])
+    def test_simplex_is_acyclic(self, k):
+        h = homology(complete_graph(k))
+        assert h.euler_characteristic == euler_characteristic(complete_graph(k)) == 1
+        assert h.betti == [1] + [0] * (k - 1)
         assert not any(h.torsion)

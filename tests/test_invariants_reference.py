@@ -12,7 +12,7 @@ import os
 import pytest
 
 from digital_pde import catalog
-from digital_pde.invariants import _whole_complex, boundary_matrix, smith_normal_form
+from digital_pde.invariants import boundary_matrix, clique_complex, smith_normal_form
 
 import reference_invariants as ref
 
@@ -20,7 +20,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def assert_same_divisors(g):
-    cx = _whole_complex(g, max_dim=6)
+    cx = clique_complex(g)
     for k in range(1, cx.max_dim + 1):
         matrix = ref.dense(boundary_matrix(cx, k), cx.count(k - 1))
         assert smith_normal_form(matrix) == ref.smith_normal_form(matrix), (g.name, k)

@@ -109,6 +109,25 @@ class TestBind:
             solve_ivp(Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0))
 
 
+class TestUniformCoefficients:
+    def test_diag_map_of_every_point(self):
+        space = catalog.space("sphere2_8")
+        c = uniform_coefficients(space, 0.1, {p: 1.0 - 0.1 * space.degree(p)
+                                              for p in space.points})
+        assert len(c.data) == 44 and is_diffusion(c)
+
+    def test_diag_map_missing_a_point(self, four_cycle):
+        with pytest.raises(ValueError, match=r"^diag: point 2 has no value$"):
+            uniform_coefficients(four_cycle, 0.25, {1: 0.5, 3: 0.5, 4: 0.5})
+
+    def test_diag_map_with_an_extra_point(self):
+        space = catalog.space("sphere2_8")
+        diag = {p: 0.4 for p in space.points}
+        diag[99] = 0.4
+        with pytest.raises(ValueError, match=r"^diag: point 99 is not in the space$"):
+            uniform_coefficients(space, 0.1, diag)
+
+
 class TestOwnership:
     def test_later_write_to_the_callers_array_is_not_seen(self, four_cycle):
         m = np.eye(4)

@@ -223,6 +223,9 @@ def verify_entry(e: CatalogEntry) -> None:
     g = e.space
     if e.rim_sizes:
         for p, size in e.rim_sizes.items():
+            if p not in g:
+                raise CatalogVerificationError(
+                    f"{e.name}: point {p} has a stored rim size but is not in the space")
             actual = g.degree(p)
             if actual != size:
                 raise CatalogVerificationError(

@@ -90,19 +90,28 @@ def chi_counter(g: DigitalSpace) -> Callable[[Iterable[int]], int]:
     above it, which adds 1 - chi(those neighbours)."""
     bit = {p: 1 << i for p, i in g.index.items()}
     nbits = [sum(map(bit.__getitem__, g.neighbors(p))) for p in g.points]
-    memo: Dict[int, int] = {}
+    memo: Dict[int, int] = {0: 0}
 
     def chi(mask: int) -> int:
-        value = memo.get(mask)
-        if value is None:
-            value, rest = 0, mask
+        # A stack, not recursion: a clique of k points nests k counts.  A
+        # frame is a set, its points not yet visited, the sum so far and the
+        # set whose chi it waits for, to subtract from that sum.
+        stack = [(mask, mask, 0, 0)]
+        while mask not in memo:
+            top, rest, value, wait = stack.pop()
+            value -= memo[wait]
             while rest:
                 low = rest & -rest
                 rest ^= low
                 above = nbits[low.bit_length() - 1] & rest
-                value += 1 - chi(above) if above else 1
-            memo[mask] = value
-        return value
+                sub = memo.get(above)
+                if sub is None:
+                    stack += [(top, rest, value + 1, above), (above, above, 0, 0)]
+                    break
+                value += 1 - sub
+            else:
+                memo[top] = value
+        return memo[mask]
 
     return lambda pts: chi(sum(map(bit.__getitem__, pts)))
 

@@ -15,7 +15,7 @@ the directed network does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -27,7 +27,7 @@ DIFFUSION_TOL = 1e-12
 DEFAULT_TRAJECTORY_TOL = 1e-10
 BLOWUP_FACTOR = 1e6
 
-MatrixRule = Callable[[int], np.ndarray]
+MatrixRule = Callable[[int], "CoefficientMatrix"]
 
 
 class SupportError(ValueError):
@@ -44,13 +44,18 @@ class CoefficientMatrix:
 
     C(0) is stored as its nonzero entries, one per pair, in row-major
     order: C[rows[i], cols[i]] == data[i], and every other entry is zero.
-    ``rule`` (if given) produces C(t) as an n x n array for t >= 1; it is
-    never called at t = 0, so the stored pairs are the one C(0).
-    Both are checked, the pairs here and every C(t) when ``at`` returns
-    it: each value must be finite and each pair on the balls of
-    ``space``.  The object makes the three arrays read-only, so they stay
-    as checked.  Rows and columns follow ``space.index``.  Build one with
-    ``bind`` or ``bind_entries``; ``toarray`` gives the dense matrix.
+    The constructor is the one check of coefficients: each value must be
+    finite and each pair on the balls of ``space``.  It makes the three
+    arrays read-only, so they stay as checked.  Rows and columns follow
+    ``space.index``.  Build one with ``bind`` or ``bind_entries``;
+    ``toarray`` gives the dense matrix.
+
+    ``rule`` (if given) gives C(t) for t >= 1 as a CoefficientMatrix bound
+    to the same space, built by ``bind``, ``bind_entries`` or this
+    constructor and so checked as C(0) is; ``at`` reads its stored pairs.
+    The rule is never called at t = 0, so the pairs stored here are the
+    one C(0).  A rule that builds C(t) at every step pays for a
+    constructor at every step: return prebuilt matrices when C(t) repeats.
     """
 
     space: DigitalSpace
@@ -58,18 +63,9 @@ class CoefficientMatrix:
     cols: np.ndarray
     data: np.ndarray
     rule: Optional[MatrixRule] = None
-    _balls: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, index = self.n, self.space.index
-        # Flat keys i * n + j of the pairs on the balls, ascending: the
-        # diagonal and both directions of every edge.  Sorted in Python:
-        # numpy's sort maps about 0.5 MB of code, 1.5% of a small run's
-        # peak memory.
-        ends = [(index[u], index[v]) for u, v in self.space.edges]
-        balls = [i * (n + 1) for i in range(n)]
-        balls += [i * n + j for i, j in ends] + [j * n + i for i, j in ends]
-        self._balls = np.array(sorted(balls), dtype=np.intp)
+        n, index, points = self.n, self.space.index, self.space.points
         rows = np.array(self.rows, dtype=np.intp)
         cols = np.array(self.cols, dtype=np.intp)
         data = np.array(self.data, dtype=float)
@@ -79,29 +75,28 @@ class CoefficientMatrix:
         if not ((keys[1:] > keys[:-1]).all() and data.all()):
             raise ValueError("rows, cols and data must list nonzero entries, "
                              "one per pair, in row-major order")
-        self._check(keys, data)
-        self.rows, self.cols, self.data = rows, cols, data
-        for array in (rows, cols, data):
-            array.flags.writeable = False
-
-    def _check(self, keys: np.ndarray, data: np.ndarray) -> None:
-        """Refuse a value that is not finite, then a flat key i * n + j off
-        the balls, naming the first such pair in row-major order (the keys
-        are sorted)."""
+        # Each refusal names the first bad pair in row-major order.
         nonfinite = ~np.isfinite(data)
         if nonfinite.any():
             k = nonfinite.argmax()
-            raise ValueError(f"coefficient {self._pair(keys[k])} is {data[k]}, "
-                             "not a finite number")
-        balls = self._balls
+            raise ValueError(f"coefficient ({points[rows[k]]},{points[cols[k]]}) "
+                             f"is {data[k]}, not a finite number")
+        # Flat keys i * n + j of the pairs on the balls, ascending: the
+        # diagonal and both directions of every edge.  Sorted in Python:
+        # numpy's sort maps about 0.5 MB of code, 1.5% of a small run's
+        # peak memory.
+        ends = [(index[u], index[v]) for u, v in self.space.edges]
+        balls = [i * (n + 1) for i in range(n)]
+        balls += [i * n + j for i, j in ends] + [j * n + i for i, j in ends]
+        balls = np.array(sorted(balls), dtype=np.intp)
         off = balls.take(np.searchsorted(balls, keys), mode="clip") != keys
         if off.any():
-            raise SupportError(f"coefficient {self._pair(keys[off.argmax()])} "
+            k = off.argmax()
+            raise SupportError(f"coefficient ({points[rows[k]]},{points[cols[k]]}) "
                                "is nonzero but the points are not adjacent")
-
-    def _pair(self, key: int) -> str:
-        i, j = divmod(int(key), self.n)
-        return f"({self.space.points[i]},{self.space.points[j]})"
+        self.rows, self.cols, self.data = rows, cols, data
+        for array in (rows, cols, data):
+            array.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -111,10 +106,12 @@ class CoefficientMatrix:
         """``rows``, ``cols`` and ``data`` of C(t)."""
         if self.rule is None or t == 0:
             return self.rows, self.cols, self.data
-        keys, data = _nonzero(self.rule(t), self.n)
-        self._check(keys, data)
-        rows, cols = np.divmod(keys, self.n)
-        return rows, cols, data
+        c = self.rule(t)
+        if not isinstance(c, CoefficientMatrix):
+            raise ValueError(f"rule({t}) returned {type(c).__name__}, not a CoefficientMatrix")
+        if not _same_space(c.space, self.space):
+            raise ValueError(f"rule({t}) returned coefficients bound to a different space")
+        return c.rows, c.cols, c.data
 
     def toarray(self) -> np.ndarray:
         """C(0) as a new dense n x n array."""
@@ -123,15 +120,10 @@ class CoefficientMatrix:
         return mat
 
 
-def _nonzero(matrix: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat keys i * n + j, ascending, and values of the nonzero entries of
-    an n x n array."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (n, n):
-        raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
-    flat = matrix.ravel()
-    keys = np.flatnonzero(flat != 0)
-    return keys, flat[keys]
+def _same_space(a: DigitalSpace, b: DigitalSpace) -> bool:
+    """Coefficients bound to ``a`` run on ``b``: same points, in the same
+    order, and same edges."""
+    return a is b or (a.points == b.points and a.edges == b.edges)
 
 
 def _times(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
@@ -150,9 +142,13 @@ def bind(space: DigitalSpace, matrix: np.ndarray,
     structure is rejected naming the offending pair.
     """
     n = len(space.points)
-    keys, data = _nonzero(matrix, n)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (n, n):
+        raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
+    flat = matrix.ravel()
+    keys = np.flatnonzero(flat != 0)
     rows, cols = np.divmod(keys, n)
-    return CoefficientMatrix(space=space, rows=rows, cols=cols, data=data, rule=rule)
+    return CoefficientMatrix(space=space, rows=rows, cols=cols, data=flat[keys], rule=rule)
 
 
 def bind_entries(space: DigitalSpace,
@@ -220,9 +216,7 @@ class Problem:
     tol: float = DEFAULT_TRAJECTORY_TOL
 
     def __post_init__(self):
-        bound = self.coefficients.space
-        if bound is not self.space and (bound.points != self.space.points
-                                        or bound.edges != self.space.edges):
+        if not _same_space(self.coefficients.space, self.space):
             raise ValueError("coefficients are bound to a different space "
                              "(points, their order and edges must match)")
         self.initial = np.asarray(self.initial, dtype=float)
@@ -272,11 +266,11 @@ class Trajectory:
 def step(f: np.ndarray, c: CoefficientMatrix, t: int,
          g: Optional[np.ndarray] = None) -> np.ndarray:
     """One explicit update f(t) -> f(t+1): C(t) f over its stored pairs,
-    plus source."""
+    plus the source g(t), which must hold one value per point."""
     rows, cols, data = c.at(t)
     nxt = _times(rows, cols, data, f)
     if g is not None:
-        nxt = nxt + g
+        nxt = nxt + _field(c, g, f"source({t})")
     return nxt
 
 

@@ -157,6 +157,19 @@ class TestDataOverride:
                            match=r"rim of 1 has 3 points, expected 4"):
             catalog.verify_entry(catalog.entry("moebius_12"))
 
+    def test_rim_size_of_a_point_not_in_the_space(self, tmp_path, monkeypatch):
+        # point 12 relabelled 13, with the same edges: every rim size but
+        # point 12's still matches
+        d = catalog.space("moebius_12").to_json_dict()
+        d["points"] = [13 if p == 12 else p for p in d["points"]]
+        d["edges"] = [[13 if p == 12 else p for p in e] for e in d["edges"]]
+        (tmp_path / "moebius_12.json").write_text(json.dumps(d))
+        monkeypatch.setenv(catalog.DATA_ENV_VAR, str(tmp_path))
+        with pytest.raises(catalog.CatalogVerificationError,
+                           match=r"^moebius_12: point 12 has a stored rim size "
+                                 r"but is not in the space$"):
+            catalog.verify_entry(catalog.entry("moebius_12"))
+
 
 class TestBrokenData:
     """A stored file that is missing or not valid graph JSON is a

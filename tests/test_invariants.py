@@ -116,6 +116,11 @@ class TestEulerCharacteristic:
     def test_torus(self, torus):
         assert euler_characteristic(torus) == 0
 
+    def test_clique_deeper_than_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 100
+        clique = DigitalSpace(range(n), [(i, j) for i in range(n) for j in range(i)])
+        assert euler_characteristic(clique) == 1
+
 
 class TestSmithNormalForm:
     def test_zero_matrix(self):

@@ -104,7 +104,7 @@ class TestBind:
             uniform_coefficients(four_cycle, np.inf, 0.4)
         with pytest.raises(ValueError, match=r"\(2,1\) is -inf"):
             bind_entries(four_cycle, [(1, 1, 1.0), (2, 1, -np.inf)])
-        c = bind(four_cycle, np.eye(4), rule=lambda t: mat)
+        c = bind(four_cycle, np.eye(4), rule=lambda t: bind(four_cycle, mat))
         with pytest.raises(ValueError, match=r"\(1,1\) is nan"):
             solve_ivp(Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0))
 
@@ -155,13 +155,14 @@ class TestRuleSupport:
         # non-adjacent point 3 in one step.  The rule first applies at
         # t = 1, and tol=0 keeps the identity step at t = 0 from stopping
         # the run.
-        c = bind(four_cycle, np.eye(4), rule=lambda t: np.full((4, 4), 0.25))
+        c = bind(four_cycle, np.eye(4),
+                 rule=lambda t: bind(four_cycle, np.full((4, 4), 0.25)))
         problem = Problem(four_cycle, c, np.array([4.0, 0.0, 0.0, 0.0]), steps=2, tol=0.0)
         with pytest.raises(SupportError, match=r"\(1,3\)"):
             solve_ivp(problem)
 
     def test_rule_of_wrong_shape_refused(self, four_cycle):
-        c = bind(four_cycle, np.eye(4), rule=lambda t: np.eye(3))
+        c = bind(four_cycle, np.eye(4), rule=lambda t: bind(four_cycle, np.eye(3)))
         with pytest.raises(ValueError, match="does not match 4 points"):
             c.at(1)
 
@@ -170,7 +171,7 @@ class TestRuleSupport:
 
         def rule(t):
             calls.append(t)
-            return 2 * np.eye(4)
+            return bind(four_cycle, 2 * np.eye(4))
 
         c = bind(four_cycle, np.eye(4), rule=rule)
         assert is_diffusion(c)
@@ -186,6 +187,23 @@ class TestRuleSupport:
         c = bind(four_cycle, np.eye(4))
         rows, cols, data = c.at(5)
         assert rows is c.rows and cols is c.cols and data is c.data
+
+    @pytest.mark.parametrize("returned, message", [
+        (lambda: np.eye(4), "returned ndarray, not a CoefficientMatrix"),
+        (lambda: bind(DigitalSpace([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)]), np.eye(4)),
+         "returned coefficients bound to a different space"),
+    ], ids=["array", "another space"])
+    def test_rule_returning_anything_else_refused(self, four_cycle, returned, message):
+        c = bind(four_cycle, np.eye(4), rule=lambda t: returned())
+        problem = Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0)
+        with pytest.raises(ValueError, match=rf"^rule\(1\) {message}$"):
+            solve_ivp(problem)
+
+    def test_rule_bound_to_an_equal_space_runs(self, four_cycle):
+        same = DigitalSpace(four_cycle.points, four_cycle.edges)
+        c = bind(four_cycle, np.eye(4), rule=lambda t: uniform_coefficients(same, 0.25, 0.5))
+        np.testing.assert_array_equal(step(np.array([4.0, 0.0, 0.0, 0.0]), c, 1),
+                                      [2.0, 1.0, 0.0, 1.0])
 
 
 class TestProblemSpace:
@@ -319,6 +337,14 @@ class TestSolveIvp:
         with pytest.raises(DivergenceError, match="at step 1$"):
             solve_ivp(problem)
 
+    @pytest.mark.parametrize("g", [np.array([1.0]), 2.0, np.ones(5), np.ones((4, 1))],
+                             ids=["one value", "scalar", "five values", "column"])
+    def test_source_not_one_value_per_point_refused(self, four_cycle, g):
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
+                          source=lambda t: g if t == 2 else np.zeros(4), steps=5, tol=0.0)
+        with pytest.raises(ValueError, match=r"^source\(2\): expected shape \(4,\), got "):
+            solve_ivp(problem)
+
     def test_bvp_problem_rejected(self, klein, klein_coeffs):
         problem = Problem(klein, klein_coeffs, np.zeros(16),
                           boundary_points=[1], boundary_values=lambda t: {1: 2.0})
@@ -326,8 +352,8 @@ class TestSolveIvp:
             solve_ivp(problem)
 
     def test_time_dependent_rule(self, four_cycle):
-        mats = [np.eye(4), np.zeros((4, 4))]
-        c = bind(four_cycle, mats[0], rule=lambda t: mats[min(t, 1)])
+        mats = [bind(four_cycle, np.eye(4)), bind(four_cycle, np.zeros((4, 4)))]
+        c = bind(four_cycle, np.eye(4), rule=lambda t: mats[min(t, 1)])
         trajectory = solve_ivp(Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0))
         assert trajectory.states[1].values.sum() == 4.0
         assert trajectory.states[2].values.sum() == 0.0

@@ -280,7 +280,7 @@ def test_stored_pairs_match_dense_reference(drawn):
     assert_bitwise_equal(c.toarray(), mat)
     f = rng.uniform(-5.0, 5.0, n)
     np.testing.assert_allclose(step(f, c, 0), mat @ f, rtol=0, atol=1e-12)
-    by_rule = bind(space, np.zeros((n, n)), rule=lambda t: mat)
+    by_rule = bind(space, np.zeros((n, n)), rule=lambda t: bind(space, mat))
     np.testing.assert_allclose(step(f, by_rule, 3), mat @ f, rtol=0, atol=1e-12)
     assert stability_bound_check(c) == (float(np.abs(mat).max()) < 1.0 / n)
     assert is_irreducible(c) == ref.is_irreducible(mat)

@@ -60,8 +60,8 @@ def _load_stored(name: str) -> DigitalSpace:
         try:
             with open(path) as f:
                 _STORED[path] = DigitalSpace.from_json_dict(json.load(f))
-        except (OSError, KeyError, ValueError) as exc:  # KeyError: an edge to no point
-            reason = exc.args[0] if isinstance(exc, KeyError) else getattr(exc, "strerror", exc)
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", exc)
             raise CatalogDataError(f"catalog data {path}: {reason}") from None
     return _STORED[path]
 

@@ -7,6 +7,7 @@ deterministic for identical inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
@@ -18,7 +19,7 @@ import numpy as np
 from . import catalog, experiments
 from .graph_core import DigitalSpace
 from .invariants import homology
-from .problem_io import ProblemFormatError, _finite, _steps, problem_from_json, trajectory_csv
+from .problem_io import ProblemFormatError, problem_from_json, trajectory_csv
 from .solver import DivergenceError, Problem, bind_entries, solve_bvp, solve_ivp
 from .svgplot import line_chart
 from .topology import homotopy_reduce, is_n_manifold, is_n_sphere, is_n_surface, r_transform
@@ -38,7 +39,7 @@ def _load_graph(source: str) -> DigitalSpace:
     try:
         with open(source) as f:
             return DigitalSpace.from_json_dict(json.load(f))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         _fail_input(f"invalid graph JSON in {source}: {exc}")
 
 
@@ -218,12 +219,14 @@ def solve(problem_file, out, plot, points, steps, tol):
         text = f.read()
     try:
         problem = problem_from_json(text)
-        if steps is not None:
-            problem.steps = _steps(steps, "--steps")
-        if tol is not None:
-            problem.tol = _finite(tol, "--tol")
     except ProblemFormatError as exc:
         _fail_input(str(exc))
+    overrides = {name: value for name, value in (("steps", steps), ("tol", tol))
+                 if value is not None}
+    try:
+        problem = dataclasses.replace(problem, **overrides)
+    except ValueError as exc:  # Problem names the field, which is the option's name
+        _fail_input(f"--{exc}")
     pts = _parse_points(problem.space, points)
     _check_outputs(out, plot)
     try:

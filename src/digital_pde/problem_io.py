@@ -9,7 +9,7 @@ Problem schema:
                     | {"uniform_offdiag": x, "diag_map": {"point": y, ...}},
       "initial": [v1, ...] | {"point": p, "value": v, "rest": r},
       "boundary": {"points": [...], "values": [...]} | null,
-      "steps": int, "tol": float
+      "steps": int, "tol": float            (optional; Problem's defaults)
     }
 
 Coefficient entries are destination-major: [p, k, v] adds weight v for
@@ -23,42 +23,17 @@ identical bytes.
 from __future__ import annotations
 
 import json
-import math
-from typing import Dict
 
 import numpy as np
 
 from . import catalog
 from .graph_core import DigitalSpace, _is_label
-from .solver import (CoefficientMatrix, Problem, SupportError, Trajectory, bind_entries,
+from .solver import (CoefficientMatrix, Problem, Trajectory, _finite, bind_entries,
                      uniform_coefficients)
 
 
 class ProblemFormatError(ValueError):
     """The problem JSON failed validation; the message names the field."""
-
-
-def _finite(value, name: str) -> float:
-    """``value`` as a finite float, or a ProblemFormatError naming the
-    field.  JSON ``true`` and strings are not numbers, though ``float``
-    would take them."""
-    try:
-        if isinstance(value, (bool, str)):
-            raise TypeError
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ProblemFormatError(f"{name}: expected a number, got {value!r}")
-    if not math.isfinite(x):
-        raise ProblemFormatError(f"{name}: expected a finite number, got {value!r}")
-    return x
-
-
-def _steps(value, name: str) -> int:
-    integral = ((isinstance(value, int) and not isinstance(value, bool))
-                or (isinstance(value, float) and value.is_integer()))
-    if not integral or value < 0:
-        raise ProblemFormatError(f"{name}: expected a nonnegative integer, got {value!r}")
-    return int(value)
 
 
 def _known(space: DigitalSpace, p) -> bool:
@@ -84,7 +59,7 @@ def _load_space(spec) -> DigitalSpace:
     if isinstance(spec, dict):
         try:
             return DigitalSpace.from_json_dict(spec)
-        except Exception as exc:
+        except ValueError as exc:
             raise ProblemFormatError(f"space: invalid inline graph ({exc})")
     raise ProblemFormatError("space: expected catalog name or inline graph")
 
@@ -107,8 +82,8 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
             entries.append((p, k, _finite(v, "coefficients.entries")))
         try:
             return bind_entries(space, entries)
-        except SupportError as exc:
-            raise ProblemFormatError(f"coefficients.entries: {exc.args[0]}")
+        except ValueError as exc:
+            raise ProblemFormatError(f"coefficients.entries: {exc}")
     if "uniform_offdiag" in spec:
         offdiag = _finite(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
         if "diag_map" in spec:
@@ -116,74 +91,59 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
                 raise ProblemFormatError("coefficients.diag_map: expected an object")
             diag = {_label(p, "coefficients.diag_map"): _finite(v, "coefficients.diag_map")
                     for p, v in spec["diag_map"].items()}
-            missing = set(space.points) - set(diag)
-            if missing:
-                raise ProblemFormatError(
-                    f"coefficients.diag_map: missing points {sorted(missing)}")
-            unknown = set(diag) - set(space.points)
-            if unknown:
-                raise ProblemFormatError(
-                    f"coefficients.diag_map: unknown points {sorted(unknown)}")
         elif "diag" in spec:
             diag = _finite(spec["diag"], "coefficients.diag")
         else:
             raise ProblemFormatError("coefficients: uniform_offdiag needs diag or diag_map")
-        return uniform_coefficients(space, offdiag, diag)
+        try:
+            return uniform_coefficients(space, offdiag, diag)
+        except ValueError as exc:  # only a diag_map can be refused here
+            raise ProblemFormatError(f"coefficients.diag_map: {exc}")
     raise ProblemFormatError("coefficients: expected entries or uniform_offdiag form")
 
 
 def _load_initial(space: DigitalSpace, spec) -> np.ndarray:
-    n = len(space.points)
     if isinstance(spec, list):
-        if len(spec) != n:
-            raise ProblemFormatError(f"initial: expected {n} values, got {len(spec)}")
         return np.array([_finite(v, "initial") for v in spec])
     if isinstance(spec, dict):
         point = spec.get("point")
         if not _known(space, point):
             raise ProblemFormatError(f"initial.point: unknown point {point!r}")
-        rest = _finite(spec.get("rest", 0.0), "initial.rest")
-        values = np.full(n, rest)
+        values = np.full(len(space.points), _finite(spec.get("rest", 0.0), "initial.rest"))
         values[space.index[point]] = _finite(spec.get("value"), "initial.value")
         return values
     raise ProblemFormatError("initial: expected list or point/value form")
 
 
 def problem_from_json_dict(d: dict) -> Problem:
-    space = _load_space(d.get("space"))
-    coeffs = _load_coefficients(space, d.get("coefficients"))
-    initial = _load_initial(space, d.get("initial"))
-    boundary = d.get("boundary")
-    boundary_points = None
-    boundary_values = None
-    if boundary:
-        if not isinstance(boundary, dict):
-            raise ProblemFormatError("boundary: expected an object or null")
-        points = boundary.get("points", [])
-        values = boundary.get("values", [])
-        for field, value in (("points", points), ("values", values)):
-            if not isinstance(value, list):
-                raise ProblemFormatError(f"boundary.{field}: expected a list, got {value!r}")
-        if len(points) != len(values):
-            raise ProblemFormatError("boundary: points and values lengths differ")
-        unknown = [p for p in points if not _known(space, p)]
-        if unknown:
-            raise ProblemFormatError(f"boundary.points: unknown {unknown}")
-        if len(set(points)) != len(points):
-            raise ProblemFormatError(f"boundary.points: repeated points in {points}")
-        clamp: Dict[int, float] = {p: _finite(v, "boundary.values")
-                                   for p, v in zip(points, values)}
-        boundary_points = list(points)
-        boundary_values = lambda t: clamp  # noqa: E731 - constant clamps
-    return Problem(
-        space=space,
-        coefficients=coeffs,
-        initial=initial,
-        boundary_points=boundary_points,
-        boundary_values=boundary_values,
-        steps=_steps(d.get("steps", 2000), "steps"),
-        tol=_finite(d.get("tol", 1e-10), "tol"),
-    )
+    """Build a Problem from problem JSON.  This module checks JSON types
+    and shapes; Problem and the coefficient builders check the rest.
+    Every refusal is a ProblemFormatError naming the JSON field."""
+    try:
+        space = _load_space(d.get("space"))
+        coeffs = _load_coefficients(space, d.get("coefficients"))
+        initial = _load_initial(space, d.get("initial"))
+        fields = {key: d[key] for key in ("steps", "tol") if key in d}
+        boundary = d.get("boundary")
+        if boundary:
+            if not isinstance(boundary, dict):
+                raise ProblemFormatError("boundary: expected an object or null")
+            points = boundary.get("points", [])
+            values = boundary.get("values", [])
+            for field, value in (("points", points), ("values", values)):
+                if not isinstance(value, list):
+                    raise ProblemFormatError(
+                        f"boundary.{field}: expected a list, got {value!r}")
+            if len(points) != len(values):
+                raise ProblemFormatError("boundary: points and values lengths differ")
+            bad = [p for p in points if not _is_label(p)]
+            if bad:
+                raise ProblemFormatError(f"boundary.points: unknown {bad}")
+            clamp = {p: _finite(v, "boundary.values") for p, v in zip(points, values)}
+            fields.update(boundary_points=points, boundary_values=lambda t: clamp)
+        return Problem(space, coeffs, initial, **fields)
+    except ValueError as exc:  # Problem names its fields; JSON nests the boundary ones
+        raise ProblemFormatError(str(exc).replace("boundary_points:", "boundary.points:"))
 
 
 def problem_from_json(text: str) -> Problem:

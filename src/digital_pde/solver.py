@@ -38,6 +38,20 @@ class DivergenceError(RuntimeError):
     """Trajectory norm exceeded the blow-up guard, or is NaN."""
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a finite float, or a ValueError naming the field.  A
+    bool and a string are not numbers, though ``float`` would take them."""
+    try:
+        if isinstance(value, (bool, str)):
+            raise TypeError
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected a number, got {value!r}") from None
+    if not np.isfinite(x):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    return x
+
+
 @dataclass
 class CoefficientMatrix:
     """Coefficients bound to a space, constant or time-dependent.
@@ -65,7 +79,7 @@ class CoefficientMatrix:
     rule: Optional[MatrixRule] = None
 
     def __post_init__(self):
-        n, index, points = self.n, self.space.index, self.space.points
+        n, points = self.n, self.space.points
         rows = np.array(self.rows, dtype=np.intp)
         cols = np.array(self.cols, dtype=np.intp)
         data = np.array(self.data, dtype=float)
@@ -81,14 +95,7 @@ class CoefficientMatrix:
             k = nonfinite.argmax()
             raise ValueError(f"coefficient ({points[rows[k]]},{points[cols[k]]}) "
                              f"is {data[k]}, not a finite number")
-        # Flat keys i * n + j of the pairs on the balls, ascending: the
-        # diagonal and both directions of every edge.  Sorted in Python:
-        # numpy's sort maps about 0.5 MB of code, 1.5% of a small run's
-        # peak memory.
-        ends = [(index[u], index[v]) for u, v in self.space.edges]
-        balls = [i * (n + 1) for i in range(n)]
-        balls += [i * n + j for i, j in ends] + [j * n + i for i, j in ends]
-        balls = np.array(sorted(balls), dtype=np.intp)
+        balls = self.space.ball_keys()
         off = balls.take(np.searchsorted(balls, keys), mode="clip") != keys
         if off.any():
             k = off.argmax()
@@ -199,18 +206,19 @@ class FieldState:
     values: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """An initial or boundary value problem on a digital space.  Values
-    it cannot run (non-finite initial values or ``tol``, ``steps`` not a
-    nonnegative integer, only one of the two boundary fields) are
-    refused with a ValueError naming the field."""
+    """An initial or boundary value problem on a digital space, checked
+    once, by the constructor, and frozen after it (``dataclasses.replace``
+    checks again).  ``initial`` is kept as a read-only float copy and
+    ``boundary_points`` as a tuple; ``steps`` may be an integral float.
+    What it cannot run is refused with a ValueError naming the field."""
 
     space: DigitalSpace
     coefficients: CoefficientMatrix
     initial: np.ndarray
     source: Optional[Callable[[int], np.ndarray]] = None  # g(t), default zero
-    boundary_points: Optional[List[int]] = None
+    boundary_points: Optional[Sequence[int]] = None
     boundary_values: Optional[Callable[[int], Dict[int, float]]] = None
     steps: int = 2000
     tol: float = DEFAULT_TRAJECTORY_TOL
@@ -219,23 +227,27 @@ class Problem:
         if not _same_space(self.coefficients.space, self.space):
             raise ValueError("coefficients are bound to a different space "
                              "(points, their order and edges must match)")
-        self.initial = np.asarray(self.initial, dtype=float)
-        if self.initial.shape != (len(self.space.points),):
-            raise ValueError("initial values length must equal point count")
-        if not np.isfinite(self.initial).all():
+        initial = _field(self.coefficients, self.initial, "initial").copy()
+        if not np.isfinite(initial).all():
             raise ValueError("initial: values must be finite")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
-            raise ValueError(f"steps: expected a nonnegative integer, got {self.steps!r}")
-        if not np.isfinite(self.tol):
-            raise ValueError(f"tol: expected a finite number, got {self.tol!r}")
+        initial.flags.writeable = False
+        steps = self.steps
+        if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
+                or isinstance(steps, float) and steps.is_integer()) or steps < 0:
+            raise ValueError(f"steps: expected a nonnegative integer, got {steps!r}")
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "steps", int(steps))
+        object.__setattr__(self, "tol", _finite(self.tol, "tol"))
         if (self.boundary_points is None) != (self.boundary_values is None):
             raise ValueError("boundary_points and boundary_values: give both or neither")
-        if self.boundary_points:
-            if len(set(self.boundary_points)) != len(self.boundary_points):
-                raise ValueError(f"repeated boundary points in {self.boundary_points}")
-            unknown = set(self.boundary_points) - set(self.space.points)
+        if self.boundary_points is not None:
+            points = tuple(self.boundary_points)
+            if len(set(points)) != len(points):
+                raise ValueError(f"boundary_points: repeated points in {list(points)}")
+            unknown = [p for p in points if p not in self.space]
             if unknown:
-                raise ValueError(f"boundary points {sorted(unknown)} not in space")
+                raise ValueError(f"boundary_points: unknown {unknown}")
+            object.__setattr__(self, "boundary_points", points)
 
     @property
     def has_boundary(self) -> bool:

@@ -153,6 +153,15 @@ class TestInvariantsCommand:
         assert json.loads(result.output) == {
             "chi": 1, "betti": [1, 0, 0, 0, 0, 0, 0, 0], "torsion": [[]] * 8}
 
+    def test_edge_to_no_point_exit_2_unquoted(self, runner, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"points": [1, 2], "edges": [[1, 2], [1, 99]]}))
+        result = runner.invoke(main, ["invariants", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"error: invalid graph JSON in {path}: "
+                                 "edge (1,99) endpoint not a point\n")
+
 
 class TestTransformCommand:
     def test_r_transform(self, runner):
@@ -231,7 +240,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("override, message", [
         ({"coefficients": {"uniform_offdiag": 0.1,
                            "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"99": 0.4})}},
-         "error: coefficients.diag_map: unknown points [99]"),
+         "error: coefficients.diag_map: diag: point 99 is not in the space\n"),
         ({"boundary": {"points": [1.0], "values": [1.0]}}, "error: boundary.points: unknown [1.0]"),
         ({"tol": True}, "error: tol: expected a number, got True"),
     ], ids=["diag-map-key", "float-point", "true-number"])

@@ -120,7 +120,7 @@ class TestBoundaryField:
     def test_clamps_parsed(self):
         d = klein_problem_dict(boundary={"points": [1, 2], "values": [3.0, 4.0]})
         p = problem_from_json_dict(d)
-        assert p.boundary_points == [1, 2]
+        assert p.boundary_points == (1, 2)
         assert p.boundary_values(7) == {1: 3.0, 2: 4.0}
 
     def test_length_mismatch(self):
@@ -151,7 +151,7 @@ class TestFromText:
 class TestRejectsBadNumbers:
     """Each malformed number is refused with its field named."""
 
-    @pytest.mark.parametrize("steps", [-5, 2.7, "5", True, float("inf")])
+    @pytest.mark.parametrize("steps", [-5, 2.7, "5", True, float("inf"), None])
     def test_steps(self, steps):
         with pytest.raises(ProblemFormatError, match="steps"):
             problem_from_json_dict(klein_problem_dict(steps=steps))
@@ -159,7 +159,7 @@ class TestRejectsBadNumbers:
     def test_integral_float_steps_accepted(self):
         assert problem_from_json_dict(klein_problem_dict(steps=3.0)).steps == 3
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), True, "1e-10"])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), True, "1e-10", None])
     def test_tol(self, tol):
         with pytest.raises(ProblemFormatError, match="tol"):
             problem_from_json_dict(klein_problem_dict(tol=tol))

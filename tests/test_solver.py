@@ -229,12 +229,17 @@ class TestProblemRefusals:
     @pytest.mark.parametrize("fields, message", [
         ({"steps": -5}, "steps: expected a nonnegative integer, got -5"),
         ({"steps": 2.5}, "steps: expected a nonnegative integer, got 2.5"),
+        ({"steps": True}, "^steps: expected a nonnegative integer, got True$"),
         ({"tol": float("nan")}, "tol: expected a finite number, got nan"),
+        ({"tol": "1e-3"}, "^tol: expected a number, got '1e-3'$"),
+        ({"tol": None}, "^tol: expected a number, got None$"),
+        ({"tol": True}, "^tol: expected a number, got True$"),
         ({"initial": [1.0, np.nan, 0.0, 0.0]}, "initial: values must be finite"),
         ({"boundary_points": [1]}, "boundary_points and boundary_values"),
         ({"boundary_values": lambda t: {1: 1.0}}, "boundary_points and boundary_values"),
-    ], ids=["negative-steps", "fractional-steps", "nan-tol", "nan-initial",
-            "points-without-values", "values-without-points"])
+    ], ids=["negative-steps", "fractional-steps", "bool-steps", "nan-tol", "string-tol",
+            "none-tol", "bool-tol", "nan-initial", "points-without-values",
+            "values-without-points"])
     def test_refused_naming_the_field(self, four_cycle, fields, message):
         fields = dict({"initial": np.ones(4)}, **fields)
         with pytest.raises(ValueError, match=message):
@@ -244,6 +249,24 @@ class TestProblemRefusals:
         problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
                           steps=np.int64(3), tol=0.0)
         assert len(solve_ivp(problem).values) == 4
+
+    def test_integral_float_steps_accepted(self, four_cycle):
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
+                          steps=3.0, tol=0.0)
+        assert problem.steps == 3 and type(problem.steps) is int
+        assert len(solve_ivp(problem).values) == 4
+
+    def test_checked_values_hold(self, four_cycle):
+        initial = np.ones(4)
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), initial, steps=2, tol=0.0)
+        initial[0] = np.nan
+        np.testing.assert_array_equal(solve_ivp(problem).values, np.ones((3, 4)))
+        with pytest.raises(ValueError, match="read-only"):
+            problem.initial[0] = np.nan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.steps = -5
+        with pytest.raises(ValueError, match="^steps: expected a nonnegative integer, got -5$"):
+            dataclasses.replace(problem, steps=-5)
 
 
 class TestIsDiffusion:
@@ -406,7 +429,7 @@ class TestSolveBvp:
 
     def test_repeated_boundary_points_rejected(self, four_cycle):
         c = uniform_coefficients(four_cycle, 0.1, 0.8)
-        with pytest.raises(ValueError, match="repeated boundary points"):
+        with pytest.raises(ValueError, match=r"^boundary_points: repeated points in \[1, 1\]$"):
             Problem(four_cycle, c, np.zeros(4), boundary_points=[1, 1],
                     boundary_values=lambda t: {1: 1.0})
 

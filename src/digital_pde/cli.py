@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import catalog, experiments
-from .graph_core import DigitalSpace
+from .graph_core import DigitalSpace, parse_label
 from .invariants import homology
 from .problem_io import ProblemFormatError, problem_from_json, trajectory_csv
 from .solver import DivergenceError, Problem, bind_entries, solve_bvp, solve_ivp
@@ -137,12 +137,10 @@ def transform(source, mode, edge):
     if mode == "r-transform":
         if not edge:
             _fail_input("r-transform requires --edge u,v")
-        try:
-            u, v = (int(x) for x in edge.split(","))
-        except ValueError:
-            _fail_input(f"bad edge spec: {edge}")
-        if not g.has_edge(u, v):
-            _fail_input(f"({u},{v}) is not an edge")
+        ends = _parse_points(g, edge, "--edge")
+        if len(ends) != 2 or not g.has_edge(*ends):
+            _fail_input(f"({edge}) is not an edge")
+        u, v = ends
         new_id = max(g.points) + 1
         result = r_transform(g, u, v, new_id)
         click.echo(json.dumps({
@@ -193,16 +191,15 @@ def _write_outputs(trajectory, space, out, plot, points):
         _fail_input(f"cannot write {exc.filename}: {exc.strerror}")
 
 
-def _parse_points(space, text):
-    if not text:
-        return None
+def _parse_points(space, text, option):
+    """The points of ``space`` an option lists, each written as ``str(p)``."""
     try:
-        pts = [int(x) for x in text.split(",")]
-    except ValueError:
-        _fail_input(f"bad --points spec: {text}")
+        pts = [parse_label(x, option) for x in text.split(",")]
+    except ValueError as exc:
+        _fail_input(str(exc))
     unknown = [p for p in pts if p not in space]
     if unknown:
-        _fail_input(f"--points not in space: {unknown}")
+        _fail_input(f"{option} not in space: {unknown}")
     return pts
 
 
@@ -227,7 +224,7 @@ def solve(problem_file, out, plot, points, steps, tol):
         problem = dataclasses.replace(problem, **overrides)
     except ValueError as exc:  # Problem names the field, which is the option's name
         _fail_input(f"--{exc}")
-    pts = _parse_points(problem.space, points)
+    pts = _parse_points(problem.space, points, "--points") if points else None
     _check_outputs(out, plot)
     try:
         trajectory = solve_bvp(problem) if problem.has_boundary else solve_ivp(problem)

@@ -27,9 +27,20 @@ class UnknownEdgeError(KeyError):
     """Raised when an operation names a pair that is not an edge."""
 
 
-def _is_label(p) -> bool:
-    """Whether a JSON value is a point label: an integer, not a bool."""
-    return isinstance(p, int) and not isinstance(p, bool)
+def is_label(p) -> bool:
+    """Whether a value is a point label: an integer, not a bool."""
+    return isinstance(p, (int, np.integer)) and not isinstance(p, bool)
+
+
+def parse_label(text: str, name: str) -> int:
+    """The point p that ``text`` names, which it does only as ``str(p)``
+    (not ``"01"``, ``" 1"`` or ``"1_0"``); else a ValueError naming the field."""
+    try:
+        if str(int(text)) == text:
+            return int(text)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name}: bad point label {text!r}")
 
 
 def _normalize_edge(u, v) -> Tuple[int, int]:
@@ -230,12 +241,12 @@ class DigitalSpace:
         if not isinstance(points, list):
             raise ValueError(f"points: expected a list of integers, got {points!r}")
         for p in points:
-            if not _is_label(p):
+            if not is_label(p):
                 raise ValueError(f"points: expected integers, got {p!r}")
         if not isinstance(edges, list):
             raise ValueError(f"edges: expected a list of integer pairs, got {edges!r}")
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(map(_is_label, e))):
+            if not (isinstance(e, list) and len(e) == 2 and all(map(is_label, e))):
                 raise ValueError(f"edges: expected a pair of integers, got {e!r}")
         name = d.get("name")
         if name is not None and not isinstance(name, str):

@@ -13,7 +13,8 @@ Problem schema:
     }
 
 Coefficient entries are destination-major: [p, k, v] adds weight v for
-the flow from source k into destination p.
+the flow from source k into destination p.  A ``diag_map`` key names the
+point p only when it is ``str(p)``: "01", " 1" and "1_0" name no point.
 
 Trajectory CSV: header ``t,f_1,...,f_n,S,norm1``, one row per step,
 floats printed with repr-stable %.12g so identical runs produce
@@ -27,27 +28,13 @@ import json
 import numpy as np
 
 from . import catalog
-from .graph_core import DigitalSpace, _is_label
-from .solver import (CoefficientMatrix, Problem, Trajectory, _finite, bind_entries,
+from .graph_core import DigitalSpace, is_label, parse_label
+from .solver import (CoefficientMatrix, Problem, Trajectory, bind_entries, finite_number,
                      uniform_coefficients)
 
 
 class ProblemFormatError(ValueError):
     """The problem JSON failed validation; the message names the field."""
-
-
-def _known(space: DigitalSpace, p) -> bool:
-    """Whether a JSON value names a point of space.  Only an integer does:
-    ``true`` and ``1.0`` equal the point 1 but are not labels."""
-    return _is_label(p) and p in space
-
-
-def _label(key, name: str) -> int:
-    """A JSON object key as an integer point label."""
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise ProblemFormatError(f"{name}: bad point label {key!r}")
 
 
 def _load_space(spec) -> DigitalSpace:
@@ -77,22 +64,23 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
             except (TypeError, ValueError):
                 raise ProblemFormatError(f"coefficients.entries: bad entry {item!r}")
             for point in (p, k):
-                if not _known(space, point):
+                if not is_label(point):
                     raise ProblemFormatError(f"coefficients.entries: unknown point {point!r}")
-            entries.append((p, k, _finite(v, "coefficients.entries")))
+            entries.append((p, k, finite_number(v, "coefficients.entries")))
         try:
             return bind_entries(space, entries)
-        except ValueError as exc:
-            raise ProblemFormatError(f"coefficients.entries: {exc}")
+        except (KeyError, ValueError) as exc:  # KeyError: UnknownPointError
+            raise ProblemFormatError(f"coefficients.entries: {exc.args[0]}")
     if "uniform_offdiag" in spec:
-        offdiag = _finite(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
+        offdiag = finite_number(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
         if "diag_map" in spec:
             if not isinstance(spec["diag_map"], dict):
                 raise ProblemFormatError("coefficients.diag_map: expected an object")
-            diag = {_label(p, "coefficients.diag_map"): _finite(v, "coefficients.diag_map")
+            diag = {parse_label(p, "coefficients.diag_map"):
+                    finite_number(v, "coefficients.diag_map")
                     for p, v in spec["diag_map"].items()}
         elif "diag" in spec:
-            diag = _finite(spec["diag"], "coefficients.diag")
+            diag = finite_number(spec["diag"], "coefficients.diag")
         else:
             raise ProblemFormatError("coefficients: uniform_offdiag needs diag or diag_map")
         try:
@@ -102,15 +90,16 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
     raise ProblemFormatError("coefficients: expected entries or uniform_offdiag form")
 
 
-def _load_initial(space: DigitalSpace, spec) -> np.ndarray:
-    if isinstance(spec, list):
-        return np.array([_finite(v, "initial") for v in spec])
+def _load_initial(space: DigitalSpace, spec):
+    if isinstance(spec, list):  # Problem checks it
+        return spec
     if isinstance(spec, dict):
         point = spec.get("point")
-        if not _known(space, point):
+        if not (is_label(point) and point in space):
             raise ProblemFormatError(f"initial.point: unknown point {point!r}")
-        values = np.full(len(space.points), _finite(spec.get("rest", 0.0), "initial.rest"))
-        values[space.index[point]] = _finite(spec.get("value"), "initial.value")
+        values = np.full(len(space.points),
+                         finite_number(spec.get("rest", 0.0), "initial.rest"))
+        values[space.index[point]] = finite_number(spec.get("value"), "initial.value")
         return values
     raise ProblemFormatError("initial: expected list or point/value form")
 
@@ -136,14 +125,15 @@ def problem_from_json_dict(d: dict) -> Problem:
                         f"boundary.{field}: expected a list, got {value!r}")
             if len(points) != len(values):
                 raise ProblemFormatError("boundary: points and values lengths differ")
-            bad = [p for p in points if not _is_label(p)]
-            if bad:
-                raise ProblemFormatError(f"boundary.points: unknown {bad}")
-            clamp = {p: _finite(v, "boundary.values") for p, v in zip(points, values)}
+            values = [finite_number(v, "boundary.values") for v in values]
+            clamp = {}  # filled below, once Problem has checked the points
             fields.update(boundary_points=points, boundary_values=lambda t: clamp)
-        return Problem(space, coeffs, initial, **fields)
+        problem = Problem(space, coeffs, initial, **fields)
     except ValueError as exc:  # Problem names its fields; JSON nests the boundary ones
         raise ProblemFormatError(str(exc).replace("boundary_points:", "boundary.points:"))
+    if boundary:
+        clamp.update(zip(points, values))
+    return problem
 
 
 def problem_from_json(text: str) -> Problem:

@@ -15,13 +15,14 @@ the directed network does not.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .graph_core import DigitalSpace, UnknownPointError
+from .graph_core import DigitalSpace, UnknownPointError, is_label
 
 DIFFUSION_TOL = 1e-12
 DEFAULT_TRAJECTORY_TOL = 1e-10
@@ -38,15 +39,16 @@ class DivergenceError(RuntimeError):
     """Trajectory norm exceeded the blow-up guard, or is NaN."""
 
 
-def _finite(value, name: str) -> float:
-    """``value`` as a finite float, or a ValueError naming the field.  A
-    bool and a string are not numbers, though ``float`` would take them."""
-    try:
-        if isinstance(value, (bool, str)):
-            raise TypeError
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name}: expected a number, got {value!r}") from None
+def _is_number(value) -> bool:
+    """A real number, not a bool (``float`` would take ``True`` and ``"1"``)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def finite_number(value, name: str) -> float:
+    """``value`` as a finite float, or a ValueError naming the field."""
+    if not _is_number(value):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    x = float(value)
     if not np.isfinite(x):
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
     return x
@@ -227,9 +229,7 @@ class Problem:
         if not _same_space(self.coefficients.space, self.space):
             raise ValueError("coefficients are bound to a different space "
                              "(points, their order and edges must match)")
-        initial = _field(self.coefficients, self.initial, "initial").copy()
-        if not np.isfinite(initial).all():
-            raise ValueError("initial: values must be finite")
+        initial = _field(self.coefficients, self.initial, "initial", finite=True).copy()
         initial.flags.writeable = False
         steps = self.steps
         if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
@@ -237,16 +237,16 @@ class Problem:
             raise ValueError(f"steps: expected a nonnegative integer, got {steps!r}")
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "steps", int(steps))
-        object.__setattr__(self, "tol", _finite(self.tol, "tol"))
+        object.__setattr__(self, "tol", finite_number(self.tol, "tol"))
         if (self.boundary_points is None) != (self.boundary_values is None):
             raise ValueError("boundary_points and boundary_values: give both or neither")
         if self.boundary_points is not None:
             points = tuple(self.boundary_points)
-            if len(set(points)) != len(points):
-                raise ValueError(f"boundary_points: repeated points in {list(points)}")
-            unknown = [p for p in points if p not in self.space]
+            unknown = [p for p in points if not (is_label(p) and p in self.space)]
             if unknown:
                 raise ValueError(f"boundary_points: unknown {unknown}")
+            if len(set(points)) != len(points):
+                raise ValueError(f"boundary_points: repeated points in {list(points)}")
             object.__setattr__(self, "boundary_points", points)
 
     @property
@@ -448,20 +448,25 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     return SpectralReport(True, True, column)
 
 
-def _field(c: CoefficientMatrix, f: np.ndarray, name: str) -> np.ndarray:
-    """``f`` as a float array, refused unless it holds one value per point."""
+def _field(c: CoefficientMatrix, f, name: str, finite: bool = False) -> np.ndarray:
+    """``f`` as a float array, refused with a ValueError naming the field
+    unless it holds one real number per point, finite if ``finite`` is set."""
+    if not (isinstance(f, np.ndarray) and f.dtype.kind in "iuf"):
+        for x in np.asarray(f, dtype=object).flat:
+            if not _is_number(x):
+                raise ValueError(f"{name}: expected a number, got {x!r}")
     f = np.asarray(f, dtype=float)
     if f.shape != (c.n,):
         raise ValueError(f"{name}: expected shape ({c.n},), got {f.shape}")
+    if finite and not np.isfinite(f).all():
+        raise ValueError(f"{name}: values must be finite")
     return f
 
 
 def stationary_solution(c: CoefficientMatrix, f0: np.ndarray) -> FieldState:
     """f_inf = S * stationary column, with S the initial total mass.
     ``f0`` must hold one finite value per point."""
-    f0 = _field(c, f0, "f0")
-    if not np.isfinite(f0).all():
-        raise ValueError("f0: values must be finite")
+    f0 = _field(c, f0, "f0", finite=True)
     report = limit_matrix(c)
     if not report.primitive:
         raise ValueError(

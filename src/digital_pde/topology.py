@@ -65,7 +65,7 @@ class ReductionTrace:
         for v in self.deleted_points:
             if v not in live:
                 raise UnknownPointError(f"unknown point {v}")
-            if not verdicts.is_simple(live, v):
+            if not verdicts.simple(verdicts.adj[v] & live):
                 raise ValueError(f"point {v} was not simple at its deletion step")
             live = live - {v}
         return start.delete_points(self.deleted_points) if self.deleted_points else start
@@ -125,8 +125,8 @@ class _Verdicts:
                     stack.append(w)
         return len(seen) == len(pts)
 
-    def is_simple(self, live: frozenset, v) -> bool:
-        rim = self.adj[v] & live
+    def simple(self, rim: frozenset) -> bool:
+        """A point or an edge is simple when its rim is nonempty and contractible."""
         return bool(rim) and self.contractible(rim)
 
     def contractible(self, pts: frozenset) -> bool:
@@ -144,7 +144,7 @@ class _Verdicts:
         """Simple points of ``live``, smallest rim first, then by label."""
         adj = self.adj
         for _, v in sorted((len(adj[v] & live), v) for v in live):
-            if self.is_simple(live, v):
+            if self.simple(adj[v] & live):
                 yield v
 
     def euler_characteristic(self, pts: frozenset) -> int:
@@ -247,9 +247,8 @@ def is_contractible(g: DigitalSpace) -> Tuple[bool, Optional[ReductionTrace]]:
     """
     if len(g.points) == 0:
         raise ValueError("contractibility is undefined for the empty graph")
-    if not g.is_connected():
-        return False, None
-    order = _Verdicts(g).reduction(frozenset(g.points))
+    verdicts, pts = _Verdicts(g), frozenset(g.points)
+    order = verdicts.reduction(pts) if verdicts.connected(pts) else None
     if order is None:
         return False, None
     terminal = g.delete_points(order) if order else g
@@ -258,16 +257,14 @@ def is_contractible(g: DigitalSpace) -> Tuple[bool, Optional[ReductionTrace]]:
 
 def is_simple_point(g: DigitalSpace, v) -> bool:
     """A point is simple when its rim is contractible."""
-    rim = g.neighbors(v)
-    return bool(rim) and _Verdicts(g).contractible(rim)
+    return _Verdicts(g).simple(g.neighbors(v))
 
 
 def is_simple_edge(g: DigitalSpace, u, v) -> bool:
     """An edge is simple when its edge rim is contractible."""
     if not g.has_edge(u, v):
         raise UnknownEdgeError(f"({u},{v}) is not an edge")
-    rim = g.neighbors(u) & g.neighbors(v)
-    return bool(rim) and _Verdicts(g).contractible(rim)
+    return _Verdicts(g).simple(g.neighbors(u) & g.neighbors(v))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +277,7 @@ def attach_point(g: DigitalSpace, rim_points, new_id) -> DigitalSpace:
     for p in rim:
         if p not in g:
             raise UnknownPointError(f"unknown point {p}")
-    if not rim or not _Verdicts(g).contractible(rim):
+    if not _Verdicts(g).simple(rim):
         raise ValueError("attachment rim is not contractible")
     return g.add_point(new_id, rim_points)
 
@@ -321,7 +318,7 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
     deleted = []
     while len(remaining) > 1:
         for v in remaining:
-            if verdicts.is_simple(live, v):
+            if verdicts.simple(verdicts.adj[v] & live):
                 live = live - {v}
                 remaining.remove(v)
                 deleted.append(v)

@@ -47,6 +47,21 @@ def contractible_order(g) -> Tuple[bool, Optional[List[int]]]:
     return order is not None, order
 
 
+def reduce_order(g) -> List[int]:
+    """Points that homotopy reduction deletes, in order: each time the
+    smallest label whose rim is nonempty and contractible, until one
+    point or no simple point is left."""
+    order: List[int] = []
+    while len(g.points) > 1:
+        simple = [v for v in sorted(g.points)
+                  if g.neighbors(v) and contractible_order(g.rim(v))[0]]
+        if not simple:
+            break
+        order.append(simple[0])
+        g = g.delete_point(simple[0])
+    return order
+
+
 def _sphere(g, n: int) -> bool:
     if n < 0:
         return False

@@ -258,6 +258,24 @@ class TestSolveCommand:
         assert "exceeded blow-up guard at step 9" in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("args, message", [
+        (["solve", "{problem}", "--points", "1_0"], "error: --points: bad point label '1_0'"),
+        (["solve", "{problem}", "--points", "1_0, 01"],
+         "error: --points: bad point label '1_0'"),
+        (["solve", "{problem}", "--points", "1, 3"], "error: --points: bad point label ' 3'"),
+        (["transform", "s2_min", "r-transform", "--edge", "0_1,2"],
+         "error: --edge: bad point label '0_1'"),
+        (["transform", "s2_min", "r-transform", "--edge", " 1,0_2"],
+         "error: --edge: bad point label ' 1'"),
+    ], ids=["points-underscore", "points-leading-zero", "points-space", "edge-underscore",
+            "edge-space"])
+    def test_label_not_written_as_str_exit_2(self, runner, tmp_path, args, message):
+        problem = klein_problem(tmp_path)
+        result = runner.invoke(main, [a.format(problem=problem) for a in args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [message]
+
     def test_solve_bad_points_exit_2(self, runner, tmp_path):
         problem = klein_problem(tmp_path)
         result = runner.invoke(main, ["solve", problem, "--points", "1,99"])

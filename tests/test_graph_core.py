@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,9 @@ from digital_pde.graph_core import (
     UnknownEdgeError,
     UnknownPointError,
     cycle_space,
+    is_label,
     join,
+    parse_label,
     path_space,
 )
 from digital_pde.canonical import are_isomorphic
@@ -215,6 +218,29 @@ class TestJson:
         g = DigitalSpace.from_json_dict(dict({"points": [1, 2], "edges": [[1, 2]]}, **name))
         assert g.name is None
         assert g.to_json_dict()["name"] == ""
+
+
+class TestLabels:
+    @given(st.integers())
+    def test_parse_label_reads_str_of_every_integer(self, p):
+        assert parse_label(str(p), "points") == p
+
+    @given(st.integers())
+    def test_parse_label_refuses_a_leading_zero(self, p):
+        with pytest.raises(ValueError, match=f"^points: bad point label '0{p}'$"):
+            parse_label("0" + str(p), "points")
+
+    @pytest.mark.parametrize("text", ["", " 1", "1 ", "+1", "1_0", "1.0", "-0", "\u0661", "a", 1])
+    def test_parse_label_refuses_other_spellings(self, text):
+        with pytest.raises(ValueError, match="^points: bad point label "):
+            parse_label(text, "points")
+
+    @pytest.mark.parametrize("value, label", [
+        (1, True), (-3, True), (np.int64(2), True),
+        (True, False), (1.0, False), ("1", False), (None, False), ([1], False),
+    ])
+    def test_is_label(self, value, label):
+        assert is_label(value) is label
 
 
 class TestIndex:

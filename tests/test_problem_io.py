@@ -234,6 +234,22 @@ class TestRejectsMalformedFields:
         with pytest.raises(ProblemFormatError, match=f"^{re.escape(field)}: "):
             problem_from_json_dict(klein_problem_dict(**{key: value}))
 
+    @pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1"])
+    def test_diag_map_key_names_a_point_only_as_its_label(self, key):
+        # int() reads each key as point 1 or 10, which the map also names.
+        diag_map = dict({str(p): 0.4 for p in range(1, 17)}, **{key: 0.5})
+        message = f"^coefficients\\.diag_map: bad point label {re.escape(repr(key))}$"
+        with pytest.raises(ProblemFormatError, match=message):
+            problem_from_json_dict(klein_problem_dict(
+                coefficients={"uniform_offdiag": 0.1, "diag_map": diag_map}))
+
+    @pytest.mark.parametrize("initial", [["a"] * 16, [True] * 16, [None] * 16,
+                                         [[1.0]] + [0.0] * 15])
+    def test_initial_list_entry_not_a_number(self, initial):
+        message = f"^initial: expected a number, got {re.escape(repr(initial[0]))}$"
+        with pytest.raises(ProblemFormatError, match=message):
+            problem_from_json_dict(klein_problem_dict(initial=initial))
+
 
 class TestTrajectoryCsv:
     def test_header_and_rows(self):

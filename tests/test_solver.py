@@ -237,13 +237,30 @@ class TestProblemRefusals:
         ({"initial": [1.0, np.nan, 0.0, 0.0]}, "initial: values must be finite"),
         ({"boundary_points": [1]}, "boundary_points and boundary_values"),
         ({"boundary_values": lambda t: {1: 1.0}}, "boundary_points and boundary_values"),
+        ({"initial": ["a"] * 4}, "^initial: expected a number, got 'a'$"),
+        ({"initial": [True] * 4}, "^initial: expected a number, got True$"),
+        ({"initial": [1j] * 4}, r"^initial: expected a number, got 1j$"),
+        ({"initial": np.ones(4, dtype=bool)}, "^initial: expected a number, got True$"),
+        ({"initial": [1.0, 2.0, None, 0.0]}, "^initial: expected a number, got None$"),
+        ({"boundary_points": [True], "boundary_values": lambda t: {1: 1.0}},
+         r"^boundary_points: unknown \[True\]$"),
+        ({"boundary_points": [1.0], "boundary_values": lambda t: {1: 1.0}},
+         r"^boundary_points: unknown \[1.0\]$"),
     ], ids=["negative-steps", "fractional-steps", "bool-steps", "nan-tol", "string-tol",
             "none-tol", "bool-tol", "nan-initial", "points-without-values",
-            "values-without-points"])
+            "values-without-points", "string-initial", "bool-initial", "complex-initial",
+            "bool-array-initial", "none-initial", "bool-boundary-point",
+            "float-boundary-point"])
     def test_refused_naming_the_field(self, four_cycle, fields, message):
         fields = dict({"initial": np.ones(4)}, **fields)
         with pytest.raises(ValueError, match=message):
             Problem(four_cycle, bind(four_cycle, np.eye(4)), **fields)
+
+    def test_numpy_integer_boundary_points_accepted(self, four_cycle):
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
+                          boundary_points=np.array([1, 3]),
+                          boundary_values=lambda t: {1: 0.0, 3: 2.0})
+        assert problem.boundary_points == (1, 3)
 
     def test_numpy_integer_steps_accepted(self, four_cycle):
         problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
@@ -535,6 +552,10 @@ class TestStationarySolution:
         f0[3] = np.nan
         with pytest.raises(ValueError, match="f0: values must be finite"):
             stationary_solution(klein_coeffs, f0)
+
+    def test_bool_f0_refused(self, klein_coeffs):
+        with pytest.raises(ValueError, match="^f0: expected a number, got True$"):
+            stationary_solution(klein_coeffs, [True] * 16)
 
 
 class TestEllipticResidual:

@@ -103,6 +103,14 @@ def test_homotopy_reduce_trace_replays(g):
     assert trace.replay(g) == core
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_spaces)
+def test_homotopy_reduce_order_matches_reference(g):
+    # small_spaces relabels and reorders points, so label order and point
+    # order differ: the deletion order must follow the labels.
+    assert homotopy_reduce(g)[1].deleted_points == ref.reduce_order(g)
+
+
 def test_large_patch_without_recursion_limit():
     # A deletion sequence is as long as the graph: 400 points here,
     # deeper than Python's default recursion limit allows recursing.

@@ -146,15 +146,15 @@ def problem_from_json(text: str) -> Problem:
     return problem_from_json_dict(d)
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
-
-
 def trajectory_csv(trajectory: Trajectory, space: DigitalSpace) -> str:
     header = "t," + ",".join(f"f_{p}" for p in space.points) + ",S,norm1"
+    # One %-format per row on Python floats: the same bytes as
+    # format(v, ".12g") per value.  Rows are converted one at a time, as
+    # the whole table in Python floats would be several times the array.
+    row = "%d," + ",".join(["%.12g"] * (len(space.points) + 2))
+    records = zip(trajectory.values, trajectory.sums.tolist(), trajectory.norms.tolist())
     lines = [header]
-    records = zip(trajectory.values, trajectory.sums, trajectory.norms)
-    for t, (values, s, norm) in enumerate(records):
-        row = [str(t)] + [_fmt(v) for v in values] + [_fmt(s), _fmt(norm)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    lines += [row % (t, *values.tolist(), s, norm)
+              for t, (values, s, norm) in enumerate(records)]
+    lines.append("")  # the final newline, without copying the text again
+    return "\n".join(lines)

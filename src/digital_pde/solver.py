@@ -160,17 +160,30 @@ def bind(space: DigitalSpace, matrix: np.ndarray,
     return CoefficientMatrix(space=space, rows=rows, cols=cols, data=flat[keys], rule=rule)
 
 
+def _require_label(p, name: str) -> None:
+    """Refuse a point given as anything but an integer label: ``True``
+    and ``1.0`` equal the point 1 as keys of ``space.index``."""
+    if not is_label(p):
+        raise UnknownPointError(f"{name}: point {p!r} is not a label")
+
+
 def bind_entries(space: DigitalSpace,
                  entries: Iterable[Tuple[int, int, float]]) -> CoefficientMatrix:
     """Bind the coefficients given as ``(p, k, v)`` triples: v weights
     the flow from source k into destination p.  Pairs not named are
     zero, and a later triple for the same pair wins.  Support is
-    checked as in ``bind``."""
+    checked as in ``bind``; a point that is not an integer label
+    (``True``, ``1.0``) or not in the space raises UnknownPointError."""
     index, n = space.index, len(space.points)
-    try:
-        cells = {index[p] * n + index[k]: v for p, k, v in entries}
-    except KeyError as exc:
-        raise UnknownPointError(f"unknown point {exc.args[0]}") from None
+    cells = {}
+    for p, k, v in entries:
+        if type(p) is not int or type(k) is not int:  # plain ints skip is_label
+            _require_label(p, "entries")
+            _require_label(k, "entries")
+        try:
+            cells[index[p] * n + index[k]] = v
+        except KeyError as exc:
+            raise UnknownPointError(f"unknown point {exc.args[0]}") from None
     keys = sorted(key for key, v in cells.items() if v != 0)
     rows, cols = np.divmod(np.array(keys, dtype=np.intp), n)
     return CoefficientMatrix(space=space, rows=rows, cols=cols,
@@ -180,10 +193,13 @@ def bind_entries(space: DigitalSpace,
 def uniform_coefficients(space: DigitalSpace, offdiag: float,
                          diag: Union[float, Dict[int, float]]) -> CoefficientMatrix:
     """Same weight on every edge, per-point (or constant) diagonal.  A
-    ``diag`` map must give a value for exactly the points of the space."""
-    if isinstance(diag, dict) and diag.keys() != space.index.keys():
-        p = next(p for p in (*space.points, *diag) if (p in diag) != (p in space))
-        raise ValueError(f"diag: point {p!r} " + ("has no value" if p in space
+    ``diag`` map must give a value for exactly the points of the space,
+    each keyed by its integer label."""
+    if isinstance(diag, dict) and (diag.keys() != space.index.keys() or
+                                   not all(type(p) is int or is_label(p) for p in diag)):
+        p = next(p for p in (*space.points, *diag)
+                 if p not in diag or not (is_label(p) and p in space))
+        raise ValueError(f"diag: point {p!r} " + ("has no value" if p not in diag
                                                   else "is not in the space"))
     entries = [(u, v, offdiag) for u, v in space.edges]
     entries += [(v, u, offdiag) for u, v in space.edges]
@@ -481,15 +497,18 @@ def elliptic_residual(c: CoefficientMatrix, f: np.ndarray,
 
     ``f`` holds one value per point.  ``points`` restricts the residual
     to a subset (used for boundary value problems, where clamped points
-    are not expected to balance); an unknown point raises
-    UnknownPointError.
+    are not expected to balance); a point that is not an integer label
+    or not in the space raises UnknownPointError.
     """
     f = _field(c, f, "f")
     diff = f - _times(c.rows, c.cols, c.data, f)
     if points is not None:
-        try:
-            rows = [c.space.index[p] for p in points]
-        except KeyError as exc:
-            raise UnknownPointError(f"unknown point {exc.args[0]}") from None
+        rows = []
+        for p in points:
+            _require_label(p, "points")
+            try:
+                rows.append(c.space.index[p])
+            except KeyError:
+                raise UnknownPointError(f"unknown point {p}") from None
         diff = diff[rows]
     return float(np.abs(diff).sum())

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,14 @@ class TestBind:
         with pytest.raises(UnknownPointError, match="unknown point 9"):
             bind_entries(four_cycle, [(1, 1, 0.5), (1, 9, 0.5)])
 
+    @pytest.mark.parametrize("entry, bad", [((True, 3, 0.5), True), ((1.0, 4, 0.5), 1.0),
+                                            ((1, 2.0, 0.5), 2.0)])
+    def test_entries_point_not_a_label_refused(self, four_cycle, entry, bad):
+        # True == 1 and 1.0 == 1 as keys of space.index: each was bound as point 1
+        with pytest.raises(UnknownPointError,
+                           match=f"^'entries: point {re.escape(repr(bad))} is not a label'$"):
+            bind_entries(four_cycle, [(1, 1, 0.5), entry])
+
     def test_non_finite_coefficients_refused(self, four_cycle):
         mat = np.eye(4)
         mat[0, 0] = np.nan
@@ -126,6 +135,13 @@ class TestUniformCoefficients:
         diag[99] = 0.4
         with pytest.raises(ValueError, match=r"^diag: point 99 is not in the space$"):
             uniform_coefficients(space, 0.1, diag)
+
+    @pytest.mark.parametrize("key", [True, 1.0])
+    def test_diag_map_key_not_a_label(self, four_cycle, key):
+        diag = {key: 0.8, 2: 0.8, 3: 0.8, 4: 0.8}
+        with pytest.raises(ValueError,
+                           match=f"^diag: point {re.escape(repr(key))} is not in the space$"):
+            uniform_coefficients(four_cycle, 0.1, diag)
 
 
 class TestOwnership:
@@ -570,6 +586,12 @@ class TestEllipticResidual:
     def test_unknown_point_named(self, klein_coeffs):
         with pytest.raises(UnknownPointError, match="unknown point 99"):
             elliptic_residual(klein_coeffs, np.ones(16), points=[99])
+
+    @pytest.mark.parametrize("point", [True, 1.0])
+    def test_point_not_a_label_refused(self, klein_coeffs, point):
+        with pytest.raises(UnknownPointError,
+                           match=f"^'points: point {re.escape(repr(point))} is not a label'$"):
+            elliptic_residual(klein_coeffs, np.arange(16.0), points=[point])
 
     def test_stationary_solution_residual(self, klein_coeffs):
         f_inf = stationary_solution(klein_coeffs, np.ones(16))

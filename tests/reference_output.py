@@ -3,18 +3,22 @@ and per point.
 
 Every value goes through ``format`` on its own: ``.12g`` for a CSV
 value and ``.6g`` for an SVG coordinate, each coordinate computed by the
-scalar ``sx``/``sy``.  They are kept as a byte-identity oracle: on every
-input, ``problem_io.trajectory_csv`` and ``svgplot.line_chart`` must
-return the same text.  The chart's layout constants and tick placement
+scalar ``sx``/``sy``, at ticks placed by adding the step to a running
+total.  They are kept as a byte-identity oracle: on every input they
+draw, ``problem_io.trajectory_csv`` and ``svgplot.line_chart`` must
+return the same text, except for two deliberate changes in the chart's
+y ticks: ``_nice_ticks`` here can label a zero tick ``-0`` and, below
+1e-12, round distinct ticks to one value.  The chart's layout constants
 did not change and are taken from ``digital_pde.svgplot``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+import math
+from typing import Dict, List, Sequence
 
 from digital_pde.svgplot import (COLORS, HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT,
-                                 MARGIN_TOP, WIDTH, _nice_ticks)
+                                 MARGIN_TOP, WIDTH)
 
 
 def _fmt12(x: float) -> str:
@@ -33,6 +37,25 @@ def trajectory_csv(trajectory, space) -> str:
 
 def _fmt(x: float) -> str:
     return format(x, ".6g")
+
+
+def _nice_ticks(lo: float, hi: float, count: int = 5) -> List[float]:
+    if hi <= lo:
+        hi = lo + 1.0
+    span = hi - lo
+    raw = span / count
+    mag = 10 ** math.floor(math.log10(raw))
+    for mult in (1, 2, 5, 10):
+        if raw <= mult * mag:
+            stepsize = mult * mag
+            break
+    first = math.ceil(lo / stepsize) * stepsize
+    ticks = []
+    t = first
+    while t <= hi + 1e-12 * span:
+        ticks.append(round(t, 12))
+        t += stepsize
+    return ticks
 
 
 def line_chart(series: Dict[str, Sequence[float]],

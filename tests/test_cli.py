@@ -224,6 +224,14 @@ class TestSolveCommand:
             outs.append((out.read_bytes(), plot.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_plot_of_a_run_at_equilibrium(self, runner, tmp_path):
+        # values 1.0 and 0.9999999999999999: a y range two ulps wide
+        problem = klein_problem(tmp_path, initial=[1.0] * 16, steps=5, tol=0.0)
+        plot = tmp_path / "flat.svg"
+        result = runner.invoke(main, ["solve", problem, "--plot", str(plot)])
+        assert result.exit_code == 0
+        assert plot.read_text().startswith("<svg")
+
     def test_solve_bad_problem_exit_2(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"space": "nope"}))

@@ -8,6 +8,8 @@ check both on values from 1e-300 to 1e300, signed zeros, integral floats
 and integers, with every shape the writers take.
 """
 
+import re
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -59,17 +61,19 @@ def test_trajectory_csv_one_point_zero_steps():
 
 
 def _ticks_end(series):
-    """Whether ``_nice_ticks`` returns on the y range of ``series``.  It
-    does not when that range is a few ulps wide, or a constant whose
-    "+ 1.0" is lost to rounding; both writers share it, so the writers
-    are compared only where it returns."""
+    """Whether the reference's ``_nice_ticks`` returns on the y range of
+    ``series``.  It does not when that range is a few ulps wide, or a
+    constant whose "+ 1.0" is lost to rounding, and it raises a math
+    domain error when the range is so tiny that a fifth of it underflows
+    (``[1e-323, 0.0]``), so the writers are compared only where it
+    returns."""
     values = [float(v) for s in series.values() for v in s]
     if not values:
         return True
     lo, hi = min(values), max(values)
     if lo == hi:
         return abs(lo) < 1e12
-    return hi - lo > 1e-9 * max(abs(lo), abs(hi))
+    return hi - lo > 1e-9 * max(abs(lo), abs(hi), 1e-290)
 
 
 FINITE_WIDE = WIDE.filter(np.isfinite)
@@ -88,6 +92,12 @@ SERIES = st.one_of(
 @example({"a": [1, 2, 3], "b": [-0.0, 1e-300, 1e300, 7.0, 8.0]})
 def test_line_chart_matches_reference(series):
     assume(_ticks_end(series))
-    assert line_chart(series) == ref.line_chart(series)
+    expected = ref.line_chart(series)
+    # The two deliberate changes, checked in test_svgplot: the reference
+    # can label a zero tick -0, and it rounds ticks below 1e-12 to one value.
+    assume(">-0</text>" not in expected)
+    marks = re.findall(r'<line x1="55" y1="([^"]*)"', expected)
+    assume(len(set(marks)) == len(marks))
+    assert line_chart(series) == expected
     assert line_chart(series, x_label="step", y_label="u") == \
         ref.line_chart(series, x_label="step", y_label="u")

@@ -170,15 +170,20 @@ def _check_outputs(*paths):
 
 
 def _write_outputs(trajectory, space, out, plot, points):
-    """Render the CSV and SVG, then write them; a path that cannot be
-    written is an input error and leaves neither file behind."""
+    """Render the CSV and SVG, then write them.  A run the chart cannot
+    draw is a failure and a path that cannot be written an input error;
+    either leaves neither file behind."""
     texts = []
     if out:
         texts.append((out, trajectory_csv(trajectory, space)))
     if plot:
         series = {f"point {p}": trajectory.values[:, space.index[p]]
                   for p in points or space.points}
-        texts.append((plot, line_chart(series, y_label="f", x_label="t")))
+        try:
+            texts.append((plot, line_chart(series, y_label="f", x_label="t")))
+        except ValueError as exc:
+            click.echo(f"error: --plot: {exc}", err=True)
+            sys.exit(EXIT_FAILURE)
     written = []
     try:
         for path, text in texts:
@@ -195,11 +200,9 @@ def _parse_points(space, text, option):
     """The points of ``space`` an option lists, each written as ``str(p)``."""
     try:
         pts = [parse_label(x, option) for x in text.split(",")]
+        space.positions(pts, option)
     except ValueError as exc:
         _fail_input(str(exc))
-    unknown = [p for p in pts if p not in space]
-    if unknown:
-        _fail_input(f"{option} not in space: {unknown}")
     return pts
 
 

@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import json
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 
-class UnknownPointError(KeyError):
+class UnknownPointError(ValueError):
     """Raised when an operation names a point the space does not contain."""
 
 
-class UnknownEdgeError(KeyError):
+class UnknownEdgeError(ValueError):
     """Raised when an operation names a pair that is not an edge."""
 
 
@@ -50,22 +50,34 @@ def _normalize_edge(u, v) -> Tuple[int, int]:
 class DigitalSpace:
     """A finite simple undirected graph with stable point labels.
 
-    Points are integer identifiers kept in a fixed order, and the
-    read-only mapping ``index`` gives each point's position in it; edges
-    are unordered pairs of distinct points.  Self-loops and duplicate
-    edges are rejected at construction.
+    Points are integer labels kept in a fixed order, and the read-only
+    mapping ``index`` gives each point's position in it; edges are
+    unordered pairs of distinct points.  The constructor refuses a label
+    that is not an integer (``True`` and ``1.0`` equal 1 but are not
+    labels), a repeated point, a self-loop and an edge to no point, and
+    stores each label as a Python int.
     """
 
-    __slots__ = ("points", "edges", "name", "index", "_adj", "_hash", "_ball_keys")
+    __slots__ = ("points", "edges", "name", "index", "_index", "_adj", "_hash", "_ball_keys")
 
     def __init__(self, points: Iterable[int], edges: Iterable[Sequence[int]],
                  name: Optional[str] = None):
         pts = tuple(points)
+        if not set(map(type, pts)) <= {int}:  # plain ints skip is_label
+            for p in pts:
+                if not is_label(p):
+                    raise ValueError(f"points: expected integers, got {p!r}")
+            pts = tuple(map(int, pts))
         index = {p: i for i, p in enumerate(pts)}
         if len(index) != len(pts):
             raise ValueError("duplicate point identifiers")
         norm = set()
-        for u, v in edges:
+        for e in edges:
+            u, v = e
+            if type(u) is not int or type(v) is not int:
+                if not (is_label(u) and is_label(v)):
+                    raise ValueError(f"edges: expected a pair of integers, got {e!r}")
+                u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at point {u}")
             if u not in index or v not in index:
@@ -74,6 +86,7 @@ class DigitalSpace:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "edges", frozenset(norm))
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_index", index)  # for positions: faster than the proxy
         object.__setattr__(self, "index", MappingProxyType(index))
         adj = {p: set() for p in pts}
         for u, v in norm:
@@ -131,6 +144,20 @@ class DigitalSpace:
         """The rim of v together with v and its incident edges."""
         return self.induced(self.neighbors(v) | {v})
 
+    def positions(self, points: Iterable[int], name: str) -> List[int]:
+        """The one lookup of points a caller names: their positions, in order, or an
+        UnknownPointError naming the field and the first not a label of the space."""
+        points, index = list(points), self._index
+        try:
+            if set(map(type, points)) <= {int}:  # a plain int is a label: a lookup decides
+                return list(map(index.__getitem__, points))
+        except KeyError:
+            pass
+        for p in points:
+            if not (is_label(p) and p in index):
+                raise UnknownPointError(f"{name}: point {p!r} is not in the space")
+        return [index[p] for p in points]
+
     def ball_keys(self) -> np.ndarray:
         """Flat keys i * n + j, ascending and read-only, of the position
         pairs (i, j) on the balls: the diagonal and both directions of
@@ -155,9 +182,7 @@ class DigitalSpace:
 
     def induced(self, subset: Iterable[int]) -> "DigitalSpace":
         sub = set(subset)
-        for p in sub:
-            if p not in self._adj:
-                raise UnknownPointError(f"unknown point {p}")
+        self.positions(sub, "induced")
         pts = tuple(p for p in self.points if p in sub)
         edges = [e for e in self.edges if e[0] in sub and e[1] in sub]
         return DigitalSpace(pts, edges)
@@ -169,9 +194,7 @@ class DigitalSpace:
 
     def delete_points(self, vs: Iterable[int]) -> "DigitalSpace":
         gone = set(vs)
-        for v in gone:
-            if v not in self._adj:
-                raise UnknownPointError(f"unknown point {v}")
+        self.positions(gone, "delete_points")
         pts = tuple(p for p in self.points if p not in gone)
         edges = [e for e in self.edges if e[0] not in gone and e[1] not in gone]
         return DigitalSpace(pts, edges, name=self.name)
@@ -230,31 +253,24 @@ class DigitalSpace:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DigitalSpace":
         """Read graph JSON.  A document that is not an object, ``points``
-        that are not a list of integers, an edge that is not a pair of
-        integers and a ``name`` that is not a string are refused with a
-        ValueError naming the field (``true`` and ``1.0`` equal 1 but are
-        not labels), and so is an edge to a point not in ``points``.  A
+        that are not a list, ``edges`` that are not a list of pairs and a
+        ``name`` that is not a string are refused with a ValueError naming
+        the field, and so is every graph the constructor refuses.  A
         missing, null or empty name means no name."""
         if not isinstance(d, dict):
             raise ValueError(f"graph JSON: expected an object, got {type(d).__name__}")
         points, edges = d.get("points"), d.get("edges")
         if not isinstance(points, list):
             raise ValueError(f"points: expected a list of integers, got {points!r}")
-        for p in points:
-            if not is_label(p):
-                raise ValueError(f"points: expected integers, got {p!r}")
         if not isinstance(edges, list):
             raise ValueError(f"edges: expected a list of integer pairs, got {edges!r}")
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(map(is_label, e))):
+            if not (isinstance(e, list) and len(e) == 2):
                 raise ValueError(f"edges: expected a pair of integers, got {e!r}")
         name = d.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError(f"name: expected a string, got {name!r}")
-        try:
-            return cls(points, edges, name=name or None)
-        except UnknownPointError as exc:  # an edge to no point
-            raise ValueError(exc.args[0]) from None
+        return cls(points, edges, name=name or None)
 
     @classmethod
     def from_json(cls, text: str) -> "DigitalSpace":

@@ -28,7 +28,7 @@ import json
 import numpy as np
 
 from . import catalog
-from .graph_core import DigitalSpace, is_label, parse_label
+from .graph_core import DigitalSpace, parse_label
 from .solver import (CoefficientMatrix, Problem, Trajectory, bind_entries, finite_number,
                      uniform_coefficients)
 
@@ -63,14 +63,11 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
                 p, k, v = item
             except (TypeError, ValueError):
                 raise ProblemFormatError(f"coefficients.entries: bad entry {item!r}")
-            for point in (p, k):
-                if not is_label(point):
-                    raise ProblemFormatError(f"coefficients.entries: unknown point {point!r}")
             entries.append((p, k, finite_number(v, "coefficients.entries")))
         try:
             return bind_entries(space, entries)
-        except (KeyError, ValueError) as exc:  # KeyError: UnknownPointError
-            raise ProblemFormatError(f"coefficients.entries: {exc.args[0]}")
+        except ValueError as exc:
+            raise ProblemFormatError(f"coefficients.entries: {exc}")
     if "uniform_offdiag" in spec:
         offdiag = finite_number(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
         if "diag_map" in spec:
@@ -94,12 +91,10 @@ def _load_initial(space: DigitalSpace, spec):
     if isinstance(spec, list):  # Problem checks it
         return spec
     if isinstance(spec, dict):
-        point = spec.get("point")
-        if not (is_label(point) and point in space):
-            raise ProblemFormatError(f"initial.point: unknown point {point!r}")
+        (i,) = space.positions([spec.get("point")], "initial.point")
         values = np.full(len(space.points),
                          finite_number(spec.get("rest", 0.0), "initial.rest"))
-        values[space.index[point]] = finite_number(spec.get("value"), "initial.value")
+        values[i] = finite_number(spec.get("value"), "initial.value")
         return values
     raise ProblemFormatError("initial: expected list or point/value form")
 

@@ -16,13 +16,14 @@ the directed network does not.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .graph_core import DigitalSpace, UnknownPointError, is_label
+from .graph_core import DigitalSpace
 
 DIFFUSION_TOL = 1e-12
 DEFAULT_TRAJECTORY_TOL = 1e-10
@@ -36,7 +37,7 @@ class SupportError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Trajectory norm exceeded the blow-up guard, or is NaN."""
+    """A trajectory 1-norm exceeded the blow-up guard or is not finite."""
 
 
 def _is_number(value) -> bool:
@@ -160,30 +161,17 @@ def bind(space: DigitalSpace, matrix: np.ndarray,
     return CoefficientMatrix(space=space, rows=rows, cols=cols, data=flat[keys], rule=rule)
 
 
-def _require_label(p, name: str) -> None:
-    """Refuse a point given as anything but an integer label: ``True``
-    and ``1.0`` equal the point 1 as keys of ``space.index``."""
-    if not is_label(p):
-        raise UnknownPointError(f"{name}: point {p!r} is not a label")
-
-
 def bind_entries(space: DigitalSpace,
                  entries: Iterable[Tuple[int, int, float]]) -> CoefficientMatrix:
     """Bind the coefficients given as ``(p, k, v)`` triples: v weights
     the flow from source k into destination p.  Pairs not named are
     zero, and a later triple for the same pair wins.  Support is
-    checked as in ``bind``; a point that is not an integer label
-    (``True``, ``1.0``) or not in the space raises UnknownPointError."""
-    index, n = space.index, len(space.points)
-    cells = {}
-    for p, k, v in entries:
-        if type(p) is not int or type(k) is not int:  # plain ints skip is_label
-            _require_label(p, "entries")
-            _require_label(k, "entries")
-        try:
-            cells[index[p] * n + index[k]] = v
-        except KeyError as exc:
-            raise UnknownPointError(f"unknown point {exc.args[0]}") from None
+    checked as in ``bind``; a point that is not an integer label of the
+    space (``True``, ``1.0``, 99) raises UnknownPointError."""
+    entries, n = list(entries), len(space.points)
+    ps, ks, values = zip(*entries, strict=True) if entries else ((), (), ())
+    rows, cols = space.positions(ps, "entries"), space.positions(ks, "entries")
+    cells = {i * n + j: v for i, j, v in zip(rows, cols, values)}  # a later triple wins
     keys = sorted(key for key, v in cells.items() if v != 0)
     rows, cols = np.divmod(np.array(keys, dtype=np.intp), n)
     return CoefficientMatrix(space=space, rows=rows, cols=cols,
@@ -195,16 +183,19 @@ def uniform_coefficients(space: DigitalSpace, offdiag: float,
     """Same weight on every edge, per-point (or constant) diagonal.  A
     ``diag`` map must give a value for exactly the points of the space,
     each keyed by its integer label."""
-    if isinstance(diag, dict) and (diag.keys() != space.index.keys() or
-                                   not all(type(p) is int or is_label(p) for p in diag)):
-        p = next(p for p in (*space.points, *diag)
-                 if p not in diag or not (is_label(p) and p in space))
-        raise ValueError(f"diag: point {p!r} " + ("has no value" if p not in diag
-                                                  else "is not in the space"))
-    entries = [(u, v, offdiag) for u, v in space.edges]
-    entries += [(v, u, offdiag) for u, v in space.edges]
-    entries += [(p, p, diag[p] if isinstance(diag, dict) else diag) for p in space.points]
-    return bind_entries(space, entries)
+    n = len(space.points)
+    if isinstance(diag, dict):
+        space.positions(diag, "diag")
+        if len(diag) != n:
+            p = next(p for p in space.points if p not in diag)
+            raise ValueError(f"diag: point {p!r} has no value")
+    diag = [diag[p] for p in space.points] if isinstance(diag, dict) else [diag] * n
+    # Its pairs are the ball pairs, ascending: the diagonal reads diag, and
+    # every other pair slot n, which holds offdiag.
+    rows, cols = np.divmod(space.ball_keys(), n)
+    data = np.array(diag + [offdiag], dtype=float)[np.where(rows == cols, rows, n)]
+    kept = data != 0
+    return CoefficientMatrix(space=space, rows=rows[kept], cols=cols[kept], data=data[kept])
 
 
 def is_diffusion(c: CoefficientMatrix) -> bool:
@@ -258,9 +249,7 @@ class Problem:
             raise ValueError("boundary_points and boundary_values: give both or neither")
         if self.boundary_points is not None:
             points = tuple(self.boundary_points)
-            unknown = [p for p in points if not (is_label(p) and p in self.space)]
-            if unknown:
-                raise ValueError(f"boundary_points: unknown {unknown}")
+            self.space.positions(points, "boundary_points")
             if len(set(points)) != len(points):
                 raise ValueError(f"boundary_points: repeated points in {list(points)}")
             object.__setattr__(self, "boundary_points", points)
@@ -316,6 +305,8 @@ def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
         raise ValueError(f"boundary_values({t}) names point {other}, not a boundary point")
 
 
+# Overflow warnings are off: the guard refuses an inf 1-norm; an inf change is no convergence.
+@np.errstate(over="ignore")
 def _iterate(problem: Problem) -> Trajectory:
     c = problem.coefficients
     rows = [(p, problem.space.index[p]) for p in problem.boundary_points or ()]
@@ -332,7 +323,10 @@ def _iterate(problem: Problem) -> Trajectory:
     # Python wrapper (two calls a step, about 6% of a step at n = 16).
     total, absolute = np.add.reduce, np.abs
     norms = [float(total(absolute(f)))]
-    guard = BLOWUP_FACTOR * max(norms[0], 1.0)
+    # Finite, so that a 1-norm that overflows is a blow-up, even at t = 0.
+    guard = min(BLOWUP_FACTOR * max(norms[0], 1.0), sys.float_info.max)
+    if not norms[0] <= guard:
+        raise DivergenceError(f"norm {norms[0]:.3g} exceeded blow-up guard at step 0")
     converged = False
     source, tol = problem.source, problem.tol
     for t in range(problem.steps):
@@ -498,17 +492,10 @@ def elliptic_residual(c: CoefficientMatrix, f: np.ndarray,
     ``f`` holds one value per point.  ``points`` restricts the residual
     to a subset (used for boundary value problems, where clamped points
     are not expected to balance); a point that is not an integer label
-    or not in the space raises UnknownPointError.
+    of the space raises UnknownPointError.
     """
     f = _field(c, f, "f")
     diff = f - _times(c.rows, c.cols, c.data, f)
     if points is not None:
-        rows = []
-        for p in points:
-            _require_label(p, "points")
-            try:
-                rows.append(c.space.index[p])
-            except KeyError:
-                raise UnknownPointError(f"unknown point {p}") from None
-        diff = diff[rows]
+        diff = diff[c.space.positions(points, "points")]
     return float(np.abs(diff).sum())

@@ -274,9 +274,7 @@ def is_simple_edge(g: DigitalSpace, u, v) -> bool:
 def attach_point(g: DigitalSpace, rim_points, new_id) -> DigitalSpace:
     """Glue a new point whose rim is the given contractible subgraph."""
     rim = frozenset(rim_points)
-    for p in rim:
-        if p not in g:
-            raise UnknownPointError(f"unknown point {p}")
+    g.positions(rim, "attach_point")
     if not _Verdicts(g).simple(rim):
         raise ValueError("attachment rim is not contractible")
     return g.add_point(new_id, rim_points)

@@ -232,6 +232,21 @@ class TestSolveCommand:
         assert result.exit_code == 0
         assert plot.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"initial": [1.5e308] * 16}, "error: norm inf exceeded blow-up guard at step 0\n"),
+        # each 1-norm is a finite 1e308, but the y range [-1e308, 1e308] is not
+        ({"initial": [1e308] + [0.0] * 15, "coefficients": {"uniform_offdiag": 0, "diag": -1},
+          "steps": 1, "tol": 0}, "error: --plot: y range [-1e+308, 1e+308]: "),
+    ], ids=["norm-overflows", "chart-range-overflows"])
+    def test_run_that_overflows_exit_1(self, runner, tmp_path, fields, message):
+        out, plot = tmp_path / "run.csv", tmp_path / "run.svg"
+        result = runner.invoke(main, ["solve", klein_problem(tmp_path, **fields),
+                                      "--out", str(out), "--plot", str(plot)])
+        assert result.exit_code == 1
+        assert result.stdout == "" and result.stderr.startswith(message)
+        assert len(result.stderr.splitlines()) == 1
+        assert not out.exists() and not plot.exists()
+
     def test_solve_bad_problem_exit_2(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"space": "nope"}))
@@ -249,7 +264,8 @@ class TestSolveCommand:
         ({"coefficients": {"uniform_offdiag": 0.1,
                            "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"99": 0.4})}},
          "error: coefficients.diag_map: diag: point 99 is not in the space\n"),
-        ({"boundary": {"points": [1.0], "values": [1.0]}}, "error: boundary.points: unknown [1.0]"),
+        ({"boundary": {"points": [1.0], "values": [1.0]}},
+         "error: boundary.points: point 1.0 is not in the space\n"),
         ({"tol": True}, "error: tol: expected a number, got True"),
     ], ids=["diag-map-key", "float-point", "true-number"])
     def test_malformed_labels_and_numbers_exit_2(self, runner, tmp_path, override, message):

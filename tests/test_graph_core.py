@@ -39,6 +39,23 @@ class TestConstruction:
         with pytest.raises(UnknownPointError):
             DigitalSpace([1, 2], [(1, 3)])
 
+    @pytest.mark.parametrize("points, edges, message", [
+        ([1, 2, 3], [(True, 2)], r"^edges: expected a pair of integers, got \(True, 2\)$"),
+        ([1, 2, 3], [[1, 2.0]], r"^edges: expected a pair of integers, got \[1, 2.0\]$"),
+        ([1.0, 2], [], "^points: expected integers, got 1.0$"),
+        ([1, True], [], "^points: expected integers, got True$"),
+    ], ids=["bool-endpoint", "float-endpoint", "float-point", "bool-point"])
+    def test_refuses_a_label_that_is_not_an_integer(self, points, edges, message):
+        with pytest.raises(ValueError, match=message):
+            DigitalSpace(points, edges)
+
+    def test_numpy_integer_labels_are_stored_as_int(self):
+        g = DigitalSpace(np.arange(1, 4), [(np.int64(1), np.int64(2)), np.array([2, 3])])
+        assert all(type(p) is int for p in g.points)
+        assert all(type(p) is int for e in g.edges for p in e)
+        assert DigitalSpace.from_json_dict(json.loads(g.to_json())) == g
+        assert g.induced([np.int64(2), 3]).edges == {(2, 3)}
+
     def test_duplicate_edges_collapse(self):
         g = DigitalSpace([1, 2], [(1, 2), (2, 1)])
         assert len(g.edges) == 1

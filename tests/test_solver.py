@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestBind:
             CoefficientMatrix(four_cycle, rows, cols, data)
 
     def test_entries_name_unknown_point(self, four_cycle):
-        with pytest.raises(UnknownPointError, match="unknown point 9"):
+        with pytest.raises(UnknownPointError, match="^entries: point 9 is not in the space$"):
             bind_entries(four_cycle, [(1, 1, 0.5), (1, 9, 0.5)])
 
     @pytest.mark.parametrize("entry, bad", [((True, 3, 0.5), True), ((1.0, 4, 0.5), 1.0),
@@ -101,7 +102,7 @@ class TestBind:
     def test_entries_point_not_a_label_refused(self, four_cycle, entry, bad):
         # True == 1 and 1.0 == 1 as keys of space.index: each was bound as point 1
         with pytest.raises(UnknownPointError,
-                           match=f"^'entries: point {re.escape(repr(bad))} is not a label'$"):
+                           match=f"^entries: point {re.escape(repr(bad))} is not in the space$"):
             bind_entries(four_cycle, [(1, 1, 0.5), entry])
 
     def test_non_finite_coefficients_refused(self, four_cycle):
@@ -259,9 +260,9 @@ class TestProblemRefusals:
         ({"initial": np.ones(4, dtype=bool)}, "^initial: expected a number, got True$"),
         ({"initial": [1.0, 2.0, None, 0.0]}, "^initial: expected a number, got None$"),
         ({"boundary_points": [True], "boundary_values": lambda t: {1: 1.0}},
-         r"^boundary_points: unknown \[True\]$"),
+         r"^boundary_points: point True is not in the space$"),
         ({"boundary_points": [1.0], "boundary_values": lambda t: {1: 1.0}},
-         r"^boundary_points: unknown \[1.0\]$"),
+         r"^boundary_points: point 1.0 is not in the space$"),
     ], ids=["negative-steps", "fractional-steps", "bool-steps", "nan-tol", "string-tol",
             "none-tol", "bool-tol", "nan-initial", "points-without-values",
             "values-without-points", "string-initial", "bool-initial", "complex-initial",
@@ -392,6 +393,20 @@ class TestSolveIvp:
                           source=lambda t: np.full(4, np.nan), steps=50)
         with pytest.raises(DivergenceError, match="at step 1$"):
             solve_ivp(problem)
+
+    @pytest.mark.parametrize("f0, scale, message", [
+        (1.5e308, 1.0, "^norm inf exceeded blow-up guard at step 0$"),
+        # 10x a step from a 1-norm of 4e303: the guard was 4e309, which is inf
+        (1e303, 10.0, "^norm inf exceeded blow-up guard at step 5$"),
+    ], ids=["initial", "later"])
+    def test_divergence_guard_refuses_an_overflowing_norm(self, four_cycle, f0, scale,
+                                                          message):
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4) * scale), np.full(4, f0),
+                          steps=50, tol=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match=message):
+                solve_ivp(problem)
 
     @pytest.mark.parametrize("g", [np.array([1.0]), 2.0, np.ones(5), np.ones((4, 1))],
                              ids=["one value", "scalar", "five values", "column"])
@@ -584,13 +599,13 @@ class TestEllipticResidual:
             elliptic_residual(klein_coeffs, np.ones(size))
 
     def test_unknown_point_named(self, klein_coeffs):
-        with pytest.raises(UnknownPointError, match="unknown point 99"):
+        with pytest.raises(UnknownPointError, match="^points: point 99 is not in the space$"):
             elliptic_residual(klein_coeffs, np.ones(16), points=[99])
 
     @pytest.mark.parametrize("point", [True, 1.0])
     def test_point_not_a_label_refused(self, klein_coeffs, point):
         with pytest.raises(UnknownPointError,
-                           match=f"^'points: point {re.escape(repr(point))} is not a label'$"):
+                           match=f"^points: point {re.escape(repr(point))} is not in the space$"):
             elliptic_residual(klein_coeffs, np.arange(16.0), points=[point])
 
     def test_stationary_solution_residual(self, klein_coeffs):

@@ -29,8 +29,12 @@ import numpy as np
 
 from . import catalog
 from .graph_core import DigitalSpace, parse_label
-from .solver import (CoefficientMatrix, Problem, Trajectory, bind_entries, finite_number,
-                     uniform_coefficients)
+from .solver import (CoefficientMatrix, Problem, SupportError, Trajectory, bind_entries,
+                     finite_number, uniform_coefficients)
+
+# The library's argument names, as the JSON fields they are read from
+_JSON_FIELDS = {"entries": "coefficients.entries", "diag": "coefficients.diag_map",
+                "boundary_points": "boundary.points"}
 
 
 class ProblemFormatError(ValueError):
@@ -66,7 +70,7 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
             entries.append((p, k, finite_number(v, "coefficients.entries")))
         try:
             return bind_entries(space, entries)
-        except ValueError as exc:
+        except SupportError as exc:  # names a pair, not an argument
             raise ProblemFormatError(f"coefficients.entries: {exc}")
     if "uniform_offdiag" in spec:
         offdiag = finite_number(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
@@ -80,10 +84,7 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
             diag = finite_number(spec["diag"], "coefficients.diag")
         else:
             raise ProblemFormatError("coefficients: uniform_offdiag needs diag or diag_map")
-        try:
-            return uniform_coefficients(space, offdiag, diag)
-        except ValueError as exc:  # only a diag_map can be refused here
-            raise ProblemFormatError(f"coefficients.diag_map: {exc}")
+        return uniform_coefficients(space, offdiag, diag)
     raise ProblemFormatError("coefficients: expected entries or uniform_offdiag form")
 
 
@@ -124,8 +125,9 @@ def problem_from_json_dict(d: dict) -> Problem:
             clamp = {}  # filled below, once Problem has checked the points
             fields.update(boundary_points=points, boundary_values=lambda t: clamp)
         problem = Problem(space, coeffs, initial, **fields)
-    except ValueError as exc:  # Problem names its fields; JSON nests the boundary ones
-        raise ProblemFormatError(str(exc).replace("boundary_points:", "boundary.points:"))
+    except ValueError as exc:  # a library refusal starts with its argument's name
+        name, sep, rest = str(exc).partition(": ")
+        raise ProblemFormatError(_JSON_FIELDS.get(name, name) + sep + rest)
     if boundary:
         clamp.update(zip(points, values))
     return problem

@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from .graph_core import DigitalSpace, UnknownEdgeError, UnknownPointError, join
+from .graph_core import DigitalSpace, UnknownEdgeError, join
 from .invariants import chi_counter
 
 
@@ -60,15 +60,17 @@ class ReductionTrace:
     terminal: Optional[DigitalSpace] = None
 
     def replay(self, start: DigitalSpace) -> DigitalSpace:
+        points = list(self.deleted_points)
+        start.positions(points, "deleted_points")
+        if len(set(points)) != len(points):
+            raise ValueError(f"deleted_points: repeated points in {points}")
         verdicts = _Verdicts(start)
         live = frozenset(start.points)
-        for v in self.deleted_points:
-            if v not in live:
-                raise UnknownPointError(f"unknown point {v}")
+        for v in points:
             if not verdicts.simple(verdicts.adj[v] & live):
                 raise ValueError(f"point {v} was not simple at its deletion step")
             live = live - {v}
-        return start.delete_points(self.deleted_points) if self.deleted_points else start
+        return start.delete_points(points) if points else start
 
 
 @dataclass

@@ -1,10 +1,25 @@
+import dataclasses
+import hashlib
 import json
+import shutil
+import xml.etree.ElementTree as ET
 
 import pytest
 from click.testing import CliRunner
 
-from digital_pde import cli, experiments
+from digital_pde import catalog, cli, experiments
 from digital_pde.cli import main
+from digital_pde.problem_io import problem_from_json
+from digital_pde.solver import solve_ivp
+
+import reference_output as ref
+from isolated import ROOT, run_isolated
+
+# The command line as a user runs it, in its own process
+CLI = ["-m", "digital_pde.cli"]
+
+with open(f"{ROOT}/bench/digests.json") as f:
+    DIGESTS = json.load(f)
 
 
 @pytest.fixture()
@@ -73,6 +88,23 @@ class TestBrokenCatalogData:
         assert len(lines) == 1 and lines[0].startswith("error: catalog data ")
         assert str(data / "klein_bottle_16.json") in lines[0]
 
+    def test_list_reports_a_relabelled_point_failed(self, runner, tmp_path, monkeypatch):
+        # moebius_12 with point 12 renamed 13 and the same edges: the stored
+        # rim size of point 12 names a point the space lacks
+        data = tmp_path / "data"
+        shutil.copytree(catalog.data_dir(), data)
+        d = json.loads((data / "moebius_12.json").read_text())
+        d["points"] = [13 if p == 12 else p for p in d["points"]]
+        d["edges"] = [[13 if p == 12 else p for p in e] for e in d["edges"]]
+        (data / "moebius_12.json").write_text(json.dumps(d))
+        monkeypatch.setenv("DIGITAL_PDE_DATA", str(data))
+        result = runner.invoke(main, ["catalog", "list"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        status = {row["name"]: row["status"] for row in json.loads(result.stdout)}
+        assert status["moebius_12"].startswith("FAILED: moebius_12: point 12 ")
+
 
 class TestVerifyCommand:
     def test_sphere_pass(self, runner):
@@ -135,13 +167,20 @@ class TestVerifyCommand:
 
 
 class TestInvariantsCommand:
-    def test_klein(self, runner):
-        result = runner.invoke(main, ["invariants", "klein_bottle_16"])
-        assert result.exit_code == 0
-        d = json.loads(result.output)
-        assert d["chi"] == 0
-        assert d["betti"] == [1, 1, 0]
-        assert d["torsion"][1] == [2]
+    # On both surfaces the +-1 pivots leave one column of +-2 entries, so
+    # their Z/2 can come only from the least-entry pivots.
+    @pytest.mark.parametrize("source, chi, betti, torsion", [
+        ("patch-30x30", 1, [1, 0, 0], [[], [], []]),
+        ("klein_bottle_16", 0, [1, 1, 0], [[], [2], []]),
+        ("projective_plane_11", 1, [1, 0, 0], [[], [2], []]),
+    ], ids=["patch-30x30", "klein_bottle_16", "projective_plane_11"])
+    def test_in_a_real_process(self, tmp_path, source, chi, betti, torsion):
+        if source == "patch-30x30":
+            source = tmp_path / "patch.json"
+            source.write_text(catalog.digital_plane_patch(30, 30).space.to_json())
+        done = run_isolated([*CLI, "invariants", str(source)], timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"chi": chi, "betti": betti, "torsion": torsion}
 
     def test_k8_is_a_simplex(self, runner, tmp_path):
         pts = list(range(1, 9))
@@ -224,13 +263,33 @@ class TestSolveCommand:
             outs.append((out.read_bytes(), plot.read_bytes()))
         assert outs[0] == outs[1]
 
-    def test_plot_of_a_run_at_equilibrium(self, runner, tmp_path):
-        # values 1.0 and 0.9999999999999999: a y range two ulps wide
-        problem = klein_problem(tmp_path, initial=[1.0] * 16, steps=5, tol=0.0)
-        plot = tmp_path / "flat.svg"
-        result = runner.invoke(main, ["solve", problem, "--plot", str(plot)])
+    def test_outputs_of_a_400_point_run_are_the_reference_bytes(self, runner, tmp_path):
+        # a CSV row of 402 values and an SVG of 400 series, every point plotted
+        space = catalog.digital_plane_patch(20, 20).space
+        diag_map = {str(p): 1.0 - 0.1 * space.degree(p) for p in space.points}
+        problem = klein_problem(tmp_path, space=space.to_json_dict(),
+                                initial={"point": 190, "value": 400.0}, tol=0,
+                                coefficients={"uniform_offdiag": 0.1, "diag_map": diag_map})
+        out, plot = tmp_path / "run.csv", tmp_path / "run.svg"
+        result = runner.invoke(main, ["solve", problem, "--steps", "50",
+                                      "--out", str(out), "--plot", str(plot)])
         assert result.exit_code == 0
-        assert plot.read_text().startswith("<svg")
+        with open(problem) as f:
+            trajectory = solve_ivp(dataclasses.replace(problem_from_json(f.read()), steps=50))
+        series = {f"point {p}": trajectory.values[:, space.index[p]] for p in space.points}
+        assert out.read_bytes() == ref.trajectory_csv(trajectory, space).encode()
+        assert plot.read_bytes() == ref.line_chart(series, y_label="f", x_label="t").encode()
+
+    def test_plot_of_a_run_at_equilibrium(self, tmp_path):
+        # 1.0: values 1.0 and 0.9999999999999999, a y range two ulps wide;
+        # 1e300: a constant whose "+ 1.0" is lost to rounding
+        for value in (1.0, 1e300):
+            problem = klein_problem(tmp_path, initial=[value] * 16, steps=5, tol=0.0)
+            plot = tmp_path / f"{value}.svg"
+            done = run_isolated([*CLI, "solve", problem, "--plot", str(plot)], timeout=60)
+            assert done.returncode == 0 and done.stderr == ""
+            assert plot.read_text().startswith("<svg")
+            ET.parse(plot)
 
     @pytest.mark.parametrize("fields, message", [
         ({"initial": [1.5e308] * 16}, "error: norm inf exceeded blow-up guard at step 0\n"),
@@ -238,13 +297,13 @@ class TestSolveCommand:
         ({"initial": [1e308] + [0.0] * 15, "coefficients": {"uniform_offdiag": 0, "diag": -1},
           "steps": 1, "tol": 0}, "error: --plot: y range [-1e+308, 1e+308]: "),
     ], ids=["norm-overflows", "chart-range-overflows"])
-    def test_run_that_overflows_exit_1(self, runner, tmp_path, fields, message):
+    def test_run_that_overflows_exit_1(self, tmp_path, fields, message):
         out, plot = tmp_path / "run.csv", tmp_path / "run.svg"
-        result = runner.invoke(main, ["solve", klein_problem(tmp_path, **fields),
-                                      "--out", str(out), "--plot", str(plot)])
-        assert result.exit_code == 1
-        assert result.stdout == "" and result.stderr.startswith(message)
-        assert len(result.stderr.splitlines()) == 1
+        done = run_isolated([*CLI, "solve", klein_problem(tmp_path, **fields),
+                             "--out", str(out), "--plot", str(plot)], timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == "" and done.stderr.startswith(message)
+        assert len(done.stderr.splitlines()) == 1
         assert not out.exists() and not plot.exists()
 
     def test_solve_bad_problem_exit_2(self, runner, tmp_path):
@@ -263,7 +322,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("override, message", [
         ({"coefficients": {"uniform_offdiag": 0.1,
                            "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"99": 0.4})}},
-         "error: coefficients.diag_map: diag: point 99 is not in the space\n"),
+         "error: coefficients.diag_map: point 99 is not in the space\n"),
         ({"boundary": {"points": [1.0], "values": [1.0]}},
          "error: boundary.points: point 1.0 is not in the space\n"),
         ({"tol": True}, "error: tol: expected a number, got True"),
@@ -321,14 +380,15 @@ class TestSolveCommand:
 
 
 class TestExperimentCommand:
-    def test_klein_experiment(self, runner, tmp_path):
-        result = runner.invoke(main, ["experiment", "klein_ivp",
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 0
-        summary = json.loads(result.output)
-        assert summary["ok"]
-        assert (tmp_path / "klein_ivp.csv").exists()
-        assert (tmp_path / "klein_ivp.svg").exists()
+    @pytest.mark.parametrize("exp_id", DIGESTS)
+    def test_outputs_match_the_recorded_digests(self, tmp_path, exp_id):
+        done = run_isolated([*CLI, "experiment", exp_id, "--out-dir", str(tmp_path)],
+                            timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ok"]
+        for kind, digest in DIGESTS[exp_id].items():
+            path = tmp_path / f"{exp_id}.{kind}"
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path
 
     def test_unknown_experiment(self, runner):
         result = runner.invoke(main, ["experiment", "nope"])

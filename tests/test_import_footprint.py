@@ -5,11 +5,7 @@ run, so only the support-graph verdicts (``is_irreducible``,
 ``is_primitive``) and ``limit_matrix`` may pull it in, and only when
 called."""
 
-import os
-import subprocess
-import sys
-
-import digital_pde
+from isolated import run_isolated
 
 SCRIPT = """
 import sys
@@ -28,9 +24,6 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.sparse")))
 
 
 def test_experiments_and_catalog_leave_scipy_sparse_unimported():
-    src = os.path.dirname(os.path.dirname(digital_pde.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    result = run_isolated(["-c", SCRIPT], timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -1,7 +1,5 @@
 import math
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -11,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import digital_pde
 from digital_pde import catalog
 from digital_pde.graph_core import DigitalSpace
 from digital_pde.invariants import (
@@ -24,6 +21,7 @@ from digital_pde.invariants import (
 from digital_pde.topology import cone, minimal_sphere, r_transform
 
 import reference_invariants as ref
+from isolated import run_isolated
 from test_topology_reference import graphs
 
 
@@ -184,16 +182,12 @@ class TestSmithNormalForm:
     def test_runaway_matrix_terminates(self):
         # A subprocess, so that a loop that does not terminate fails the
         # test instead of hanging the suite.
-        src = os.path.dirname(os.path.dirname(os.path.abspath(digital_pde.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         columns = [{i: row[j] for i, row in enumerate(RUNAWAY) if row[j]}
                    for j in range(len(RUNAWAY[0]))]
         code = ("from digital_pde.invariants import smith_normal_form; "
                 f"print(smith_normal_form({RUNAWAY!r})); "
                 f"print(smith_normal_form({columns!r}))")
-        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=10,
-                              capture_output=True, text=True, check=True)
+        done = run_isolated(["-c", code], timeout=10)
         assert done.stdout.split("\n")[:2] == ["[1, 1, 1, 1, 1, 1, 3]"] * 2
 
 

@@ -12,7 +12,7 @@ from digital_pde.cli import main
 from digital_pde.graph_core import UnknownPointError, cycle_space
 from digital_pde.problem_io import ProblemFormatError, problem_from_json_dict
 from digital_pde.solver import Problem, bind_entries, elliptic_residual, uniform_coefficients
-from digital_pde.topology import attach_point
+from digital_pde.topology import ReductionTrace, attach_point
 
 C4 = cycle_space(4)
 C4_COEFFS = uniform_coefficients(C4, 0.25, 0.5)
@@ -42,6 +42,8 @@ ENTRY_POINTS = [
     ("induced", UnknownPointError, lambda p, tmp: C4.induced([2, p])),
     ("delete_points", UnknownPointError, lambda p, tmp: C4.delete_points([p])),
     ("attach_point", UnknownPointError, lambda p, tmp: attach_point(C4, [p], 9)),
+    ("deleted_points", UnknownPointError,
+     lambda p, tmp: ReductionTrace(deleted_points=[1, p]).replay(C4)),
     ("entries", UnknownPointError, lambda p, tmp: bind_entries(C4, [(1, 1, 0.5), (2, p, 0.5)])),
     ("diag", UnknownPointError,
      lambda p, tmp: uniform_coefficients(C4, 0.1, {p: 0.8, 2: 0.8, 3: 0.8, 4: 0.8})),
@@ -50,8 +52,8 @@ ENTRY_POINTS = [
                             boundary_values=lambda t: {})),
     ("points", UnknownPointError,
      lambda p, tmp: elliptic_residual(C4_COEFFS, np.ones(4), points=[2, p])),
-    # problem JSON names the field; a builder's refusal keeps its own name after it
-    ("coefficients.entries: entries", ProblemFormatError,
+    # problem JSON names the field the point was read from
+    ("coefficients.entries", ProblemFormatError,
      lambda p, tmp: _problem_json(coefficients={"entries": [[1, 1, 0.5], [2, p, 0.5]]})),
     ("initial.point", ProblemFormatError,
      lambda p, tmp: _problem_json(initial={"point": p, "value": 1.0})),

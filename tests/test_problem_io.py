@@ -80,8 +80,10 @@ class TestCoefficientsField:
 
     def test_diag_map_missing_point(self):
         d = klein_problem_dict(
-            coefficients={"uniform_offdiag": 0.1, "diag_map": {"1": 0.4}})
-        with pytest.raises(ProblemFormatError, match="diag_map"):
+            coefficients={"uniform_offdiag": 0.1,
+                          "diag_map": {str(p): 0.4 for p in range(1, 16)}})
+        with pytest.raises(ProblemFormatError,
+                           match=r"^coefficients\.diag_map: point 16 has no value$"):
             problem_from_json_dict(d)
 
     def test_missing_diag(self):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digital_pde.svgplot import line_chart
-from test_topology import run_isolated
+
+from isolated import run_isolated
 
 # An address-space cap, so that a tick list growing without end fails
 # the subprocess instead of filling the host's memory.
@@ -25,7 +26,7 @@ def test_narrow_ranges_return_in_subprocess(values):
     code = (CAP + "from digital_pde.svgplot import line_chart; "
             f"svg = line_chart({{'a': {values!r}}}); "
             "print(svg.endswith('</svg>\\n'), svg.count('<polyline'))")
-    assert run_isolated(code) == "True 1"
+    assert run_isolated(["-c", code], timeout=30).stdout == "True 1\n"
 
 
 def _chart(svg):

@@ -105,7 +105,7 @@ class DigitalSpace:
         return len(self.points)
 
     def __contains__(self, p) -> bool:
-        return p in self._adj
+        return (type(p) is int or is_label(p)) and p in self._adj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalSpace):
@@ -124,15 +124,20 @@ class DigitalSpace:
         return f"<DigitalSpace {label}: {len(self.points)} points, {len(self.edges)} edges>"
 
     def neighbors(self, v) -> frozenset:
-        if v not in self._adj:
-            raise UnknownPointError(f"unknown point {v}")
+        if type(v) is int:  # a plain int is a label: a lookup decides
+            try:
+                return self._adj[v]
+            except KeyError:
+                pass
+        self.positions((v,), "neighbors")  # refuses v unless it is a label of the space
         return self._adj[v]
 
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, u, v) -> bool:
-        return _normalize_edge(u, v) in self.edges
+        """Whether u and v are points of the space and an edge joins them."""
+        return u in self and v in self and _normalize_edge(u, v) in self.edges
 
     # -- digital-topology primitives -------------------------------------
 
@@ -200,13 +205,12 @@ class DigitalSpace:
         return DigitalSpace(pts, edges, name=self.name)
 
     def delete_edge(self, u, v) -> "DigitalSpace":
-        e = _normalize_edge(u, v)
-        if e not in self.edges:
+        if not self.has_edge(u, v):
             raise UnknownEdgeError(f"({u},{v}) is not an edge")
-        return DigitalSpace(self.points, self.edges - {e}, name=self.name)
+        return DigitalSpace(self.points, self.edges - {_normalize_edge(u, v)}, name=self.name)
 
     def add_point(self, v, neighbors: Iterable[int] = ()) -> "DigitalSpace":
-        if v in self._adj:
+        if v in self:
             raise ValueError(f"point {v} already present")
         nbrs = list(neighbors)
         edges = list(self.edges) + [(v, u) for u in nbrs]

@@ -21,9 +21,10 @@ graph the check started on.  So each public call makes one
 set, and decides it from the input's adjacency without building it.
 Verdicts are memoized by point set for the length of that call only.
 Greedy deletion can dead-end in principle, so contractibility is a
-depth-first search over deletion choices, run on an explicit stack
-because a deletion sequence is as long as the graph.  A graph with a
-point adjacent to all others is contractible outright (the cone lemma).
+depth-first search over deletion choices that holds one state: a
+backtrack puts the last deleted point back and resumes after its (rim
+size, label) key.  A graph with a point adjacent to all others is
+contractible outright (the cone lemma).
 
 A "no" would need every deletion order, so the Euler characteristic of
 the clique complex cuts it short.  The cliques containing a point v are
@@ -37,8 +38,9 @@ chi = 1 is still searched in full.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .graph_core import DigitalSpace, UnknownEdgeError, join
 from .invariants import chi_counter
@@ -65,11 +67,11 @@ class ReductionTrace:
         if len(set(points)) != len(points):
             raise ValueError(f"deleted_points: repeated points in {points}")
         verdicts = _Verdicts(start)
-        live = frozenset(start.points)
+        live = set(start.points)
         for v in points:
             if not verdicts.simple(verdicts.adj[v] & live):
                 raise ValueError(f"point {v} was not simple at its deletion step")
-            live = live - {v}
+            live.remove(v)
         return start.delete_points(points) if points else start
 
 
@@ -142,13 +144,6 @@ class _Verdicts:
             self._contractible[pts] = known
         return known
 
-    def _simple_points(self, live: frozenset) -> Iterator[int]:
-        """Simple points of ``live``, smallest rim first, then by label."""
-        adj = self.adj
-        for _, v in sorted((len(adj[v] & live), v) for v in live):
-            if self.simple(adj[v] & live):
-                yield v
-
     def euler_characteristic(self, pts: frozenset) -> int:
         """chi of the clique complex of ``pts``, counted on bitsets."""
         if self._chi is None:
@@ -159,43 +154,47 @@ class _Verdicts:
         """Simple-point deletions reducing connected ``start`` to one
         point, the first such sequence in search order, or None.
 
-        The first time the search would backtrack from a state below
-        ``start``, chi of that state is counted, and chi != 1 ends the
-        search with None.  This is exact: the cliques containing v are v
-        joined to a clique of its rim, so chi(G) = chi(G - v) + 1 -
-        chi(rim of v).  A simple point's rim is contractible, and by
+        The search holds one state: the live points, their rim sizes and
+        the ``(rim size, label)`` key of each deletion.  A backtrack
+        memoizes the dead state, puts the last point back and resumes
+        just after its key.  The first time it would backtrack from a
+        state below ``start``, chi of that state is counted, and chi != 1
+        ends the search with None.  This is exact: the cliques containing
+        v are v joined to a clique of its rim, so chi(G) = chi(G - v) +
+        1 - chi(rim of v).  A simple point's rim is contractible, and by
         induction on size a contractible graph has chi = 1, so a simple
-        deletion keeps chi.  Every state on the stack therefore has the
+        deletion keeps chi.  Every state of the search therefore has the
         chi of ``start``, and none of them is contractible when it is
         not 1.  A "yes" search has chi = 1, so it runs, and finds its
         order, exactly as without the count."""
-        memo = self._contractible
-        order: List[int] = []
-        stack = [(start, self._simple_points(start))]
+        adj, memo = self.adj, self._contractible
+        live, rim_size = start, {v: len(adj[v] & start) for v in start}
+        deleted, after = [], ()  # the key of each deletion; () sorts before every key
         counted = False
-        while len(stack[-1][0]) > 1:
-            live, candidates = stack[-1]
-            for v in candidates:
-                rest = live - {v}
-                if memo.get(rest) is not False:
-                    order.append(v)
-                    stack.append((rest, self._simple_points(rest)))
+        while len(live) > 1:
+            ranked = sorted(zip(rim_size.values(), rim_size))
+            for size, v in ranked[bisect_right(ranked, after):]:
+                rim = adj[v] & live
+                if self.simple(rim) and memo.get(rest := live - {v}) is not False:
+                    deleted.append((size, v))
+                    del rim_size[v]
+                    for w in rim:
+                        rim_size[w] -= 1
+                    live, after = rest, ()
                     break
             else:
-                if not counted and len(stack) > 1:
+                if not counted and deleted:
                     counted = True
                     if self.euler_characteristic(live) != 1:
-                        for state, _ in stack:
-                            memo[state] = False
                         return None
                 memo[live] = False
-                stack.pop()
-                if not stack:
+                if not deleted:
                     return None
-                order.pop()
-        for live, _ in stack:
-            memo[live] = True
-        return order
+                after = size, v = deleted.pop()  # put v back with its rim size
+                live, rim_size[v] = live | {v}, size
+                for w in adj[v] & live:
+                    rim_size[w] += 1
+        return [v for _, v in deleted]
 
     def failure(self, pts: frozenset, n: int, kind: str) -> Optional[Failure]:
         """None when ``pts`` is a digital n-``kind`` (n >= 0), else the
@@ -313,13 +312,13 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
     if len(g.points) == 0:
         raise ValueError("cannot reduce the empty graph")
     verdicts = _Verdicts(g)
-    live = frozenset(g.points)
+    live = set(g.points)
     remaining = sorted(live)
     deleted = []
     while len(remaining) > 1:
         for v in remaining:
             if verdicts.simple(verdicts.adj[v] & live):
-                live = live - {v}
+                live.remove(v)
                 remaining.remove(v)
                 deleted.append(v)
                 break

@@ -1,6 +1,8 @@
 """Every entry point that takes points a caller names refuses them the
 same way, through ``DigitalSpace.positions``: ``True`` and ``1.0`` equal
-the point 1 but are not labels, and 99 is not a point of the space."""
+the point 1 but are not labels, and 99 is not a point of the space.
+Queries of one point refuse it through ``neighbors``, and an edge
+operation refuses a pair with such an end as not an edge."""
 
 import json
 
@@ -9,13 +11,22 @@ import pytest
 from click.testing import CliRunner
 
 from digital_pde.cli import main
-from digital_pde.graph_core import UnknownPointError, cycle_space
+from digital_pde.graph_core import UnknownEdgeError, UnknownPointError, cycle_space
 from digital_pde.problem_io import ProblemFormatError, problem_from_json_dict
 from digital_pde.solver import Problem, bind_entries, elliptic_residual, uniform_coefficients
-from digital_pde.topology import ReductionTrace, attach_point
+from digital_pde.topology import (
+    ReductionTrace,
+    attach_point,
+    disk_from_sphere,
+    is_simple_edge,
+    is_simple_point,
+    minimal_sphere,
+    r_transform,
+)
 
 C4 = cycle_space(4)
 C4_COEFFS = uniform_coefficients(C4, 0.25, 0.5)
+S2 = minimal_sphere(2)
 
 
 def _problem_json(**fields):
@@ -63,7 +74,20 @@ ENTRY_POINTS = [
     ("--points", ValueError, lambda p, tmp: _cli(tmp, "solve", "PROBLEM", "--points", f"2,{p}")),
     ("--edge", ValueError,
      lambda p, tmp: _cli(tmp, "transform", "s2_min", "r-transform", "--edge", f"1,{p}")),
+    # queries of one point read its neighbours, so their refusal names `neighbors`
+    ("neighbors", UnknownPointError, lambda p, tmp: C4.neighbors(p)),
+    ("degree", UnknownPointError, lambda p, tmp: C4.degree(p)),
+    ("rim", UnknownPointError, lambda p, tmp: C4.rim(p)),
+    ("ball", UnknownPointError, lambda p, tmp: C4.ball(p)),
+    ("is_simple_point", UnknownPointError, lambda p, tmp: is_simple_point(C4, p)),
+    ("disk_from_sphere", UnknownPointError, lambda p, tmp: disk_from_sphere(S2, p)),
+    # an edge operation refuses the pair (p, 2) as not an edge
+    ("edge_rim", UnknownEdgeError, lambda p, tmp: C4.edge_rim(p, 2)),
+    ("delete_edge", UnknownEdgeError, lambda p, tmp: C4.delete_edge(p, 2)),
+    ("is_simple_edge", UnknownEdgeError, lambda p, tmp: is_simple_edge(C4, p, 2)),
+    ("r_transform", UnknownEdgeError, lambda p, tmp: r_transform(C4, p, 2, 9)),
 ]
+NEIGHBOR_QUERIES = {"degree", "rim", "ball", "is_simple_point", "disk_from_sphere"}
 
 
 @pytest.mark.parametrize("p", [True, 1.0, 99], ids=["true", "float", "absent"])
@@ -72,11 +96,26 @@ ENTRY_POINTS = [
 def test_point_not_in_the_space_refused(tmp_path, field, error, call, p):
     if field.startswith("--") and type(p) is not int:
         message = f"{field}: bad point label {str(p)!r}"
+    elif error is UnknownEdgeError:
+        message = f"({p!r},2) is not an edge"
+    elif field in NEIGHBOR_QUERIES:
+        message = f"neighbors: point {p!r} is not in the space"
     else:
         message = f"{field}: point {p!r} is not in the space"
     with pytest.raises(error) as info:
         call(p, tmp_path)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("p", [True, 1.0, 99], ids=["true", "float", "absent"])
+def test_membership_and_edges_only_of_points(p):
+    assert p not in C4
+    assert not C4.has_edge(p, 2) and not C4.has_edge(2, p)
+
+
+def test_numpy_integer_labels_are_points():
+    assert np.int64(1) in C4 and C4.has_edge(np.int64(1), 2)
+    assert C4.neighbors(np.int64(1)) == {2, 4}
 
 
 def test_positions_follow_the_order_named():

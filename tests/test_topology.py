@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from digital_pde.topology import (
     zero_sphere,
 )
 
+import reference_topology as ref
 from isolated import run_isolated
 from test_topology_reference import graphs
 
@@ -383,3 +386,27 @@ class TestChiRefutation:
         # dead end; chi = 1 there, so the full search refutes it.
         assert is_contractible(wedge.add_point(10, [7])) == (False, None)
         assert len(counts) == 1
+
+    def test_wedge_with_pendants_backtracks_and_resumes(self, counts):
+        # A pendant point on each of the first 6 points: the search visits
+        # states with each subset of them deleted, so it backtracks and
+        # resumes after the key of the point it puts back again and again.
+        wedge = wedge_octahedron_4cycle()
+        g = DigitalSpace(list(wedge.points) + list(range(10, 16)),
+                         list(wedge.edges) + [(v, v + 9) for v in range(1, 7)])
+        assert is_contractible(g) == (False, None) == ref.contractible_order(g)
+        assert len(counts) == 1
+
+
+def test_contractibility_search_keeps_no_point_set_per_deletion():
+    # The search holds one state; keeping a point set per deletion
+    # traced about 45 MB here.
+    g = catalog.digital_plane_patch(30, 30).space
+    tracemalloc.start()
+    try:
+        ok, trace = is_contractible(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak < 5e6
+    assert trace.replay(g) == trace.terminal

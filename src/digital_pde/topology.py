@@ -20,11 +20,18 @@ graph the check started on.  So each public call makes one
 ``_Verdicts`` over its input, names every such subgraph by its point
 set, and decides it from the input's adjacency without building it.
 Verdicts are memoized by point set for the length of that call only.
-Greedy deletion can dead-end in principle, so contractibility is a
-depth-first search over deletion choices that holds one state: a
-backtrack puts the last deleted point back and resumes after its (rim
-size, label) key.  A graph with a point adjacent to all others is
-contractible outright (the cone lemma).
+A verdict alone needs no search for a cone (a point adjacent to all
+others), a set with fewer than |S| - 1 edges (disconnected) or a
+connected one with exactly |S| - 1 edges (a tree, whose leaves are
+simple).  Greedy deletion can dead-end in principle, so otherwise
+contractibility is a depth-first search over deletion choices that
+holds one state: the live points in buckets by rim size, each sorted by
+label; each point's simple verdict, kept until a neighbour is deleted
+or put back; and the (rim size, label) key of each deletion.  A
+backtrack puts the last deleted point back and resumes just after its
+key.  Dead states are remembered as int masks over the point index.
+Homotopy reduction keeps a heap of the points whose verdict a deletion
+may have changed.
 
 A "no" would need every deletion order, so the Euler characteristic of
 the clique complex cuts it short.  The cliques containing a point v are
@@ -38,9 +45,10 @@ chi = 1 is still searched in full.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .graph_core import DigitalSpace, UnknownEdgeError, join
 from .invariants import chi_counter
@@ -114,6 +122,7 @@ class _Verdicts:
         self.adj = {v: g.neighbors(v) for v in g.points}
         self.index = g.index
         self._contractible: Dict[frozenset, bool] = {}
+        self._dead: Set[int] = set()  # masks of dead search states
         self._chi: Optional[Callable[[frozenset], int]] = None  # once chi is needed
         self._failure: Dict[Tuple[frozenset, int, str], Optional[Failure]] = {}
 
@@ -134,13 +143,23 @@ class _Verdicts:
         return bool(rim) and self.contractible(rim)
 
     def contractible(self, pts: frozenset) -> bool:
+        """Decided from the rim sizes inside ``pts`` where they suffice:
+        a cone (a point adjacent to all others) is contractible, fewer
+        than |pts| - 1 edges leave ``pts`` disconnected, and a connected
+        set with exactly |pts| - 1 edges is a tree, whose leaves are
+        simple.  Only the remaining sets are searched."""
         known = self._contractible.get(pts)
         if known is None:
             others = len(pts) - 1
-            known = others == 0 or (
-                self.connected(pts)
-                and (any(len(self.adj[v] & pts) == others for v in pts)  # cone
-                     or self.reduction(pts) is not None))
+            if others == 0:
+                known = True
+            else:
+                adj = self.adj
+                rim_size = {v: len(adj[v] & pts) for v in pts}
+                edges = sum(rim_size.values()) // 2
+                known = others in rim_size.values() or (
+                    edges >= others and self.connected(pts)
+                    and (edges == others or self.reduction(pts, rim_size) is not None))
             self._contractible[pts] = known
         return known
 
@@ -150,50 +169,106 @@ class _Verdicts:
             self._chi = chi_counter(self.g)
         return self._chi(pts)
 
-    def reduction(self, start: frozenset) -> Optional[List[int]]:
+    def reduction(self, start: frozenset,
+                  rim_size: Optional[Dict[int, int]] = None) -> Optional[List[int]]:
         """Simple-point deletions reducing connected ``start`` to one
         point, the first such sequence in search order, or None.
+        ``rim_size``, when given, holds each point's rim size inside
+        ``start`` and is used up by the search.
 
-        The search holds one state: the live points, their rim sizes and
-        the ``(rim size, label)`` key of each deletion.  A backtrack
-        memoizes the dead state, puts the last point back and resumes
-        just after its key.  The first time it would backtrack from a
-        state below ``start``, chi of that state is counted, and chi != 1
-        ends the search with None.  This is exact: the cliques containing
-        v are v joined to a clique of its rim, so chi(G) = chi(G - v) +
-        1 - chi(rim of v).  A simple point's rim is contractible, and by
-        induction on size a contractible graph has chi = 1, so a simple
-        deletion keeps chi.  Every state of the search therefore has the
-        chi of ``start``, and none of them is contractible when it is
-        not 1.  A "yes" search has chi = 1, so it runs, and finds its
-        order, exactly as without the count."""
-        adj, memo = self.adj, self._contractible
-        live, rim_size = start, {v: len(adj[v] & start) for v in start}
-        deleted, after = [], ()  # the key of each deletion; () sorts before every key
+        Candidates come in ``(rim size, label)`` order, the smallest-last
+        order of Matula and Beck: the live points sit in buckets by rim
+        size, each sorted by label, and a deletion or a put-back moves
+        only the point's neighbours between buckets.  Each live point's
+        simple verdict is decided when the point is first tried and kept
+        until one of its neighbours is deleted or put back, since it
+        depends only on ``adj[v] & live``.  A dead state is remembered by
+        its int mask over ``g.index`` (bit i is ``g.points[i]``), for the
+        length of the public call (``start`` itself is not: its verdict
+        is kept by ``contractible``).  The mask and a mutable copy of the
+        live points are made at the first simple point, so a start with
+        none costs no more than its scan.  A backtrack remembers the dead
+        state, puts the last point back and resumes just after its key.
+
+        The first time it would backtrack from a state below ``start``,
+        chi of that state is counted, and chi != 1 ends the search with
+        None.  This is exact: the cliques containing v are v joined to a
+        clique of its rim, so chi(G) = chi(G - v) + 1 - chi(rim of v).  A
+        simple point's rim is contractible, and by induction on size a
+        contractible graph has chi = 1, so a simple deletion keeps chi.
+        Every state of the search therefore has the chi of ``start``, and
+        none of them is contractible when it is not 1.  A "yes" search
+        has chi = 1, so it runs, and finds its order, exactly as without
+        the count."""
+        adj, index, dead = self.adj, self.index, self._dead
+        live = start  # a set of its own from the first deletion on
+        if rim_size is None:
+            rim_size = {v: len(adj[v] & start) for v in start}
+        buckets = [[] for _ in range(max(rim_size.values()) + 1)]
+        for v in sorted(start):
+            buckets[rim_size[v]].append(v)
+        simple: Dict[int, bool] = {}  # verdicts of live points, while valid
+        deleted: List[Tuple[int, int]] = []  # the (rim size, label) key of each deletion
+        mask = None  # of the live points, from the first simple point on
         counted = False
+
+        def move(w: int, by: int) -> None:
+            old = buckets[rim_size[w]]
+            del old[bisect_left(old, w)]
+            rim_size[w] += by
+            insort(buckets[rim_size[w]], w)
+            simple.pop(w, None)
+
+        def next_simple(size: int, at: int) -> Optional[Tuple[int, int]]:
+            """(bucket, position) of the first simple point at or after
+            the given one, or None."""
+            for size in range(size, len(buckets)):
+                bucket = buckets[size]
+                for at in range(at, len(bucket)):
+                    v = bucket[at]
+                    ok = simple.get(v)
+                    if ok is None:
+                        ok = simple[v] = self.simple(adj[v] & live)
+                    if ok:
+                        return size, at
+                at = 0
+            return None
+
+        resume = 0, 0
         while len(live) > 1:
-            ranked = sorted(zip(rim_size.values(), rim_size))
-            for size, v in ranked[bisect_right(ranked, after):]:
-                rim = adj[v] & live
-                if self.simple(rim) and memo.get(rest := live - {v}) is not False:
-                    deleted.append((size, v))
-                    del rim_size[v]
-                    for w in rim:
-                        rim_size[w] -= 1
-                    live, after = rest, ()
-                    break
-            else:
-                if not counted and deleted:
+            found = next_simple(*resume)
+            if found is None:
+                if not deleted:
+                    return None
+                if not counted:
                     counted = True
                     if self.euler_characteristic(live) != 1:
                         return None
-                memo[live] = False
-                if not deleted:
-                    return None
-                after = size, v = deleted.pop()  # put v back with its rim size
-                live, rim_size[v] = live | {v}, size
+                dead.add(mask)
+                size, v = deleted.pop()  # put v back with its rim size
+                live.add(v)
+                mask ^= 1 << index[v]
                 for w in adj[v] & live:
-                    rim_size[w] += 1
+                    move(w, 1)
+                bucket = buckets[size]
+                at = bisect_left(bucket, v)
+                bucket.insert(at, v)
+                resume = size, at + 1
+                continue
+            size, at = found
+            v = buckets[size][at]
+            if mask is None:
+                live, mask = set(start), sum(1 << index[w] for w in start)
+            if (mask ^ 1 << index[v]) in dead:
+                resume = size, at + 1
+                continue
+            del buckets[size][at]
+            live.remove(v)
+            mask ^= 1 << index[v]
+            deleted.append((size, v))
+            for w in adj[v] & live:
+                move(w, -1)
+            resume = 0, 0
         return [v for _, v in deleted]
 
     def failure(self, pts: frozenset, n: int, kind: str) -> Optional[Failure]:
@@ -307,23 +382,29 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
     """Delete simple points (smallest label first) until none remain.
 
     The result is homotopy-equivalent to the input by construction; it
-    is a heuristic core, not a minimal model.
+    is a heuristic core, not a minimal model.  A heap holds the labels of
+    the points not yet decided since their rim last changed; the others
+    are not simple.  A deletion changes only its neighbours' rims, so
+    only they go back on the heap.
     """
     if len(g.points) == 0:
         raise ValueError("cannot reduce the empty graph")
     verdicts = _Verdicts(g)
+    adj = verdicts.adj
     live = set(g.points)
-    remaining = sorted(live)
+    queue = sorted(live)  # a sorted list is a heap
+    queued = set(queue)
     deleted = []
-    while len(remaining) > 1:
-        for v in remaining:
-            if verdicts.simple(verdicts.adj[v] & live):
-                live.remove(v)
-                remaining.remove(v)
-                deleted.append(v)
-                break
-        else:
-            break
+    while len(live) > 1 and queue:
+        v = heappop(queue)
+        queued.remove(v)
+        if verdicts.simple(adj[v] & live):
+            live.remove(v)
+            deleted.append(v)
+            for w in adj[v] & live:
+                if w not in queued:
+                    queued.add(w)
+                    heappush(queue, w)
     core = g.delete_points(deleted) if deleted else g
     return core, ReductionTrace(deleted_points=deleted, terminal=core)
 

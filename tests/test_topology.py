@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -396,6 +397,137 @@ class TestChiRefutation:
                          list(wedge.edges) + [(v, v + 9) for v in range(1, 7)])
         assert is_contractible(g) == (False, None) == ref.contractible_order(g)
         assert len(counts) == 1
+
+
+def random_tree(n, rng, labels=None):
+    """A tree on n points: point i joins a random earlier point."""
+    labels = labels or rng.sample(range(1, 10 * n + 1), n)
+    return DigitalSpace(labels, [(labels[rng.randrange(i)], labels[i]) for i in range(1, n)])
+
+
+@st.composite
+def trees_plus_an_edge(draw):
+    """A tree of 3 to 12 points with distinct, unordered labels, and the
+    same tree with one more edge."""
+    n = draw(st.integers(3, 12))
+    labels = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    edges = [(labels[draw(st.integers(0, i - 1))], labels[i]) for i in range(1, n)]
+    tree = DigitalSpace(labels, edges)
+    extra = draw(st.sampled_from([(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]
+                                  if not tree.has_edge(a, b)]))
+    return tree, DigitalSpace(labels, edges + [extra])
+
+
+class TestTreesAndEdgeCounts:
+    """Trees, cones and sets with too few edges are decided from their
+    rim sizes, without a deletion search."""
+
+    @pytest.fixture()
+    def no_search(self, monkeypatch):
+        def refuse(self, pts):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(_Verdicts, "reduction", refuse)
+        return refuse
+
+    @staticmethod
+    def verdict(g):
+        return _Verdicts(g).contractible(frozenset(g.points))
+
+    def test_long_path(self, no_search):
+        g = path_space(10 ** 4)
+        assert self.verdict(g)
+        assert attach_point(g, g.points, 0).degree(0) == 10 ** 4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_trees(self, no_search, seed):
+        assert self.verdict(random_tree(2000, random.Random(seed)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forests_refused(self, no_search, seed):
+        rng = random.Random(seed)
+        a, b = random_tree(1000, rng), random_tree(1000, rng, list(range(20001, 21001)))
+        forest = DigitalSpace(a.points + b.points, a.edges | b.edges)
+        assert not self.verdict(forest)
+        assert is_contractible(forest) == (False, None)
+        with pytest.raises(ValueError, match="not contractible"):
+            attach_point(forest, forest.points, 0)
+
+    def test_sparse_sets_and_cones_need_no_walk(self, no_search, monkeypatch):
+        # Fewer than |S| - 1 edges: disconnected without a walk.
+        monkeypatch.setattr(_Verdicts, "connected", no_search)
+        assert not self.verdict(DigitalSpace([1, 2, 3, 4], [(1, 2), (3, 4)]))
+        assert self.verdict(cone(cycle_space(6)))
+
+    @given(trees_plus_an_edge())
+    @settings(max_examples=150, deadline=None)
+    def test_tree_plus_an_edge_matches_reference(self, case):
+        for g in case:
+            ok, trace = is_contractible(g)
+            ref_ok, ref_order = ref.contractible_order(g)
+            assert self.verdict(g) == ok == ref_ok
+            assert (trace.deleted_points if ok else None) == ref_order
+
+
+# Two contractible graphs of 10 and 11 points on which a search that kept
+# a point's simple verdict after a neighbour's deletion found another
+# deletion order (the first) or none (the second).
+STALE_VERDICT_GRAPHS = [
+    DigitalSpace([35, 43, 20, 30, 55, 32, 47, 41, 13, 50], [
+        (13, 20), (13, 30), (13, 32), (13, 43), (13, 50), (20, 30), (20, 32), (20, 35),
+        (20, 41), (20, 47), (30, 41), (30, 43), (30, 50), (32, 35), (32, 41), (32, 43),
+        (32, 47), (32, 50), (32, 55), (35, 50), (35, 55), (41, 47), (43, 47), (47, 55),
+        (50, 55)]),
+    DigitalSpace([39, 31, 55, 45, 49, 46, 10, 37, 20, 21, 16], [
+        (10, 16), (10, 20), (10, 21), (10, 31), (10, 37), (10, 39), (10, 46), (10, 49),
+        (10, 55), (16, 20), (16, 31), (16, 37), (16, 45), (16, 46), (16, 55), (20, 21),
+        (20, 31), (20, 39), (20, 45), (20, 46), (20, 49), (20, 55), (21, 37), (21, 45),
+        (21, 46), (21, 49), (21, 55), (31, 37), (31, 39), (31, 45), (31, 49), (37, 39),
+        (37, 45), (37, 49), (39, 45), (39, 46), (39, 55), (45, 46), (45, 49), (45, 55),
+        (46, 55)]),
+]
+
+
+class TestSearchCost:
+    @pytest.mark.parametrize("g", STALE_VERDICT_GRAPHS)
+    def test_a_deletion_renews_its_neighbours_verdicts(self, g):
+        ok, trace = is_contractible(g)
+        assert (ok, trace.deleted_points) == ref.contractible_order(g)
+        assert trace.replay(g) == trace.terminal
+        assert homotopy_reduce(g)[1].deleted_points == ref.reduce_order(g)
+
+    def test_verdicts_are_decided_lazily(self, monkeypatch):
+        # One simple verdict per deletion on the 30x30 patch; deciding
+        # every live point's verdict up front made 8,185 calls there.
+        calls = []
+        simple = _Verdicts.simple
+
+        def spy(self, rim):
+            calls.append(rim)
+            return simple(self, rim)
+
+        monkeypatch.setattr(_Verdicts, "simple", spy)
+        assert is_contractible(catalog.digital_plane_patch(30, 30).space)[0]
+        assert len(calls) <= 899
+
+    # The deletion orders of the 100x100 patch and of homotopy reduction
+    # on a 4,000-point cycle with a 4,000-point tail; a search that sorts
+    # or rescans every live point per deletion takes 8-11 s on each.
+    @pytest.mark.parametrize("code, digest", [
+        ("from digital_pde import catalog; "
+         "from digital_pde.topology import is_contractible; "
+         "order = is_contractible(catalog.digital_plane_patch(100, 100).space)[1].deleted_points",
+         "e7de1f147801343d5b2eaca3b5804107994dafeb694d5c258c31ee9106f72a32"),
+        ("from digital_pde.graph_core import DigitalSpace; "
+         "from digital_pde.topology import homotopy_reduce; n = 4000; "
+         "g = DigitalSpace(range(1, 2 * n + 1), [(i, i % n + 1) for i in range(1, n + 1)] "
+         "+ [(1, n + 1)] + [(i, i + 1) for i in range(n + 1, 2 * n)]); "
+         "order = homotopy_reduce(g)[1].deleted_points",
+         "9995102f22b777438858d52eda32f7358206a55d4de0de4518a72abb1669d21b"),
+    ], ids=["contractible-patch-100x100", "reduce-cycle-with-tail-4000"])
+    def test_at_scale_in_subprocess(self, code, digest):
+        code += "; import hashlib; print(hashlib.sha256(repr(order).encode()).hexdigest())"
+        assert run_isolated(["-c", code], timeout=5).stdout == digest + "\n"
 
 
 def test_contractibility_search_keeps_no_point_set_per_deletion():

@@ -52,13 +52,15 @@ class DigitalSpace:
 
     Points are integer labels kept in a fixed order, and the read-only
     mapping ``index`` gives each point's position in it; edges are
-    unordered pairs of distinct points.  The constructor refuses a label
-    that is not an integer (``True`` and ``1.0`` equal 1 but are not
-    labels), a repeated point, a self-loop and an edge to no point, and
-    stores each label as a Python int.
+    unordered pairs of distinct points, and the read-only mapping
+    ``adjacency`` gives each point's neighbours as a frozenset.  The
+    constructor refuses a label that is not an integer (``True`` and
+    ``1.0`` equal 1 but are not labels), a repeated point, a self-loop and
+    an edge to no point, and stores each label as a Python int.
     """
 
-    __slots__ = ("points", "edges", "name", "index", "_index", "_adj", "_hash", "_ball_keys")
+    __slots__ = ("points", "edges", "name", "index", "adjacency", "_index", "_adj", "_hash",
+                 "_ball_keys")
 
     def __init__(self, points: Iterable[int], edges: Iterable[Sequence[int]],
                  name: Optional[str] = None):
@@ -92,7 +94,9 @@ class DigitalSpace:
         for u, v in norm:
             adj[u].add(v)
             adj[v].add(u)
-        object.__setattr__(self, "_adj", {p: frozenset(s) for p, s in adj.items()})
+        adj = {p: frozenset(s) for p, s in adj.items()}
+        object.__setattr__(self, "_adj", adj)  # for neighbors: faster than the proxy
+        object.__setattr__(self, "adjacency", MappingProxyType(adj))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ball_keys", None)
 

@@ -28,6 +28,10 @@ from .graph_core import DigitalSpace
 DIFFUSION_TOL = 1e-12
 DEFAULT_TRAJECTORY_TOL = 1e-10
 BLOWUP_FACTOR = 1e6
+# From this many points on, a product sums slot-major pairs (see
+# ``CoefficientMatrix._slots``) rather than calling ``np.bincount``: below
+# it the slots' fixed cost per product is more than they save.
+SLOT_MIN_POINTS = 160
 
 MatrixRule = Callable[[int], "CoefficientMatrix"]
 
@@ -55,7 +59,7 @@ def finite_number(value, name: str) -> float:
     return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoefficientMatrix:
     """Coefficients bound to a space, constant or time-dependent.
 
@@ -63,16 +67,18 @@ class CoefficientMatrix:
     order: C[rows[i], cols[i]] == data[i], and every other entry is zero.
     The constructor is the one check of coefficients: each value must be
     finite and each pair on the balls of ``space``.  It makes the three
-    arrays read-only, so they stay as checked.  Rows and columns follow
-    ``space.index``.  Build one with ``bind`` or ``bind_entries``;
-    ``toarray`` gives the dense matrix.
+    arrays read-only and the matrix frozen, so they stay as checked and
+    the product's layout, built from them on first use, stays theirs.
+    Rows and columns follow ``space.index``.  Build one with ``bind`` or
+    ``bind_entries``; ``toarray`` gives the dense matrix.
 
     ``rule`` (if given) gives C(t) for t >= 1 as a CoefficientMatrix bound
     to the same space, built by ``bind``, ``bind_entries`` or this
-    constructor and so checked as C(0) is; ``at`` reads its stored pairs.
-    The rule is never called at t = 0, so the pairs stored here are the
-    one C(0).  A rule that builds C(t) at every step pays for a
-    constructor at every step: return prebuilt matrices when C(t) repeats.
+    constructor and so checked as C(0) is; ``at`` returns it, and a step
+    multiplies by its stored pairs.  The rule is never called at t = 0,
+    so the pairs stored here are the one C(0).  A rule that builds C(t)
+    at every step pays for a constructor and a layout at every step:
+    return prebuilt matrices when C(t) repeats.
     """
 
     space: DigitalSpace
@@ -104,24 +110,24 @@ class CoefficientMatrix:
             k = off.argmax()
             raise SupportError(f"coefficient ({points[rows[k]]},{points[cols[k]]}) "
                                "is nonzero but the points are not adjacent")
-        self.rows, self.cols, self.data = rows, cols, data
-        for array in (rows, cols, data):
+        for name, array in (("rows", rows), ("cols", cols), ("data", data)):
             array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def n(self) -> int:
         return len(self.space.points)
 
-    def at(self, t: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``rows``, ``cols`` and ``data`` of C(t)."""
+    def at(self, t: int) -> "CoefficientMatrix":
+        """C(t): this matrix at t = 0 or without a rule, else ``rule(t)``."""
         if self.rule is None or t == 0:
-            return self.rows, self.cols, self.data
+            return self
         c = self.rule(t)
         if not isinstance(c, CoefficientMatrix):
             raise ValueError(f"rule({t}) returned {type(c).__name__}, not a CoefficientMatrix")
         if not _same_space(c.space, self.space):
             raise ValueError(f"rule({t}) returned coefficients bound to a different space")
-        return c.rows, c.cols, c.data
+        return c
 
     def toarray(self) -> np.ndarray:
         """C(0) as a new dense n x n array."""
@@ -129,17 +135,52 @@ class CoefficientMatrix:
         mat[self.rows, self.cols] = self.data
         return mat
 
+    @cached_property
+    def _slots(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The stored pairs slot-major, built on first use: ``weights`` and
+        ``columns`` of shape (w, n), slot k of row i holding that row's
+        k-th pair in column order, then the ordered tail of the pairs past
+        slot w as ``rows``, ``cols`` and ``data``.  w is the most pairs in
+        a row, but at most 2 nnz / n, so the slots hold at most 2 nnz
+        cells whatever a hub's degree.  A padded slot weighs 0 and reads
+        column n, which the product holds at 0: never a real column, whose
+        value may be inf or NaN."""
+        n, rows = self.n, self.rows
+        counts = np.bincount(rows, minlength=n)
+        width = min(int(counts.max(initial=0)), 2 * len(rows) // n)
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        kept = slot < width
+        tail = ~kept
+        weights = np.zeros((width, n))
+        columns = np.full((width, n), n, dtype=np.intp)
+        weights[slot[kept], rows[kept]] = self.data[kept]
+        columns[slot[kept], rows[kept]] = self.cols[kept]
+        return weights, columns, rows[tail], self.cols[tail], self.data[tail]
+
+    def _times(self, f: np.ndarray) -> np.ndarray:
+        """C(0) f over the stored pairs: row i sums data * f[col] over its
+        pairs from +0.0, in column order.  Below ``SLOT_MIN_POINTS`` points
+        that sum is ``np.bincount``'s; from there on the slots (``_slots``)
+        give it: the reduction adds slot after slot, one elementwise add
+        each, then the tail is added in pair order, so both paths give the
+        same bits."""
+        n = self.n
+        if n < SLOT_MIN_POINTS:
+            return np.bincount(self.rows, self.data * f[self.cols], minlength=n)
+        weights, columns, tail_rows, tail_cols, tail_data = self._slots
+        padded = np.empty(n + 1)
+        padded[:n] = f
+        padded[n] = 0.0
+        out = np.add.reduce(weights * padded[columns], axis=0, initial=0.0)
+        if len(tail_rows):
+            np.add.at(out, tail_rows, tail_data * padded[tail_cols])
+        return out
+
 
 def _same_space(a: DigitalSpace, b: DigitalSpace) -> bool:
     """Coefficients bound to ``a`` run on ``b``: same points, in the same
     order, and same edges."""
     return a is b or (a.points == b.points and a.edges == b.edges)
-
-
-def _times(rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-           f: np.ndarray) -> np.ndarray:
-    """C f over the stored pairs of C: row i sums data * f[cols] over its pairs."""
-    return np.bincount(rows, data * f[cols], minlength=len(f))
 
 
 def bind(space: DigitalSpace, matrix: np.ndarray,
@@ -284,8 +325,7 @@ def step(f: np.ndarray, c: CoefficientMatrix, t: int,
          g: Optional[np.ndarray] = None) -> np.ndarray:
     """One explicit update f(t) -> f(t+1): C(t) f over its stored pairs,
     plus the source g(t), which must hold one value per point."""
-    rows, cols, data = c.at(t)
-    nxt = _times(rows, cols, data, f)
+    nxt = (c if c.rule is None else c.at(t))._times(f)
     if g is not None:
         nxt = nxt + _field(c, g, f"source({t})")
     return nxt
@@ -320,8 +360,10 @@ def _iterate(problem: Problem) -> Trajectory:
     record = np.empty((min(problem.steps, 255) + 1, len(f)))
     record[0] = f
     # 1-norms by np.add.reduce: the sum ndarray.sum computes, without its
-    # Python wrapper (two calls a step, about 6% of a step at n = 16).
-    total, absolute = np.add.reduce, np.abs
+    # Python wrapper (two calls a step, about 6% of a step at n = 16).  One
+    # scratch row holds |f(t+1)|, then |f(t+1) - f(t)|, so neither allocates.
+    total, absolute, subtract = np.add.reduce, np.abs, np.subtract
+    scratch = np.empty(len(f))
     norms = [float(total(absolute(f)))]
     # Finite, so that a 1-norm that overflows is a blow-up, even at t = 0.
     guard = min(BLOWUP_FACTOR * max(norms[0], 1.0), sys.float_info.max)
@@ -336,12 +378,12 @@ def _iterate(problem: Problem) -> Trajectory:
         if t + 1 == len(record):
             record.resize((2 * len(record), len(f)), refcheck=False)
         record[t + 1] = nxt
-        norm = float(total(absolute(nxt)))
+        norm = float(total(absolute(nxt, scratch)))
         norms.append(norm)
         if not norm <= guard:
             raise DivergenceError(
                 f"norm {norm:.3g} exceeded blow-up guard at step {t + 1}")
-        converged = float(total(absolute(nxt - f))) < tol
+        converged = float(total(absolute(subtract(nxt, f, scratch), scratch))) < tol
         f = nxt
         if converged:
             break
@@ -451,7 +493,7 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     rhs = np.zeros(n)
     rhs[-1] = 1.0
     column = np.atleast_1d(spsolve(system, rhs))
-    residual = float(np.abs(_times(c.rows, c.cols, c.data, column) - column).max())
+    residual = float(np.abs(c._times(column) - column).max())
     if residual > 1e-9:
         raise AssertionError(
             f"stationary column of a primitive matrix is not fixed (residual {residual:.3g})")
@@ -495,7 +537,7 @@ def elliptic_residual(c: CoefficientMatrix, f: np.ndarray,
     of the space raises UnknownPointError.
     """
     f = _field(c, f, "f")
-    diff = f - _times(c.rows, c.cols, c.data, f)
+    diff = f - c._times(f)
     if points is not None:
         diff = diff[c.space.positions(points, "points")]
     return float(np.abs(diff).sum())

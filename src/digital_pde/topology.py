@@ -119,7 +119,7 @@ class _Verdicts:
 
     def __init__(self, g: DigitalSpace):
         self.g = g
-        self.adj = {v: g.neighbors(v) for v in g.points}
+        self.adj = g.adjacency
         self.index = g.index
         self._contractible: Dict[frozenset, bool] = {}
         self._dead: Set[int] = set()  # masks of dead search states

@@ -192,8 +192,7 @@ class TestRuleSupport:
 
         c = bind(four_cycle, np.eye(4), rule=rule)
         assert is_diffusion(c)
-        rows, cols, data = c.at(0)
-        assert rows is c.rows and cols is c.cols and data is c.data
+        assert c.at(0) is c
         np.testing.assert_array_equal(step(np.ones(4), c, 0), np.ones(4))
         assert stability_bound_check(c) is False  # |1| of C(0), not |2| of rule(0)
         assert calls == []
@@ -202,8 +201,7 @@ class TestRuleSupport:
 
     def test_constant_matrix_returned_as_bound(self, four_cycle):
         c = bind(four_cycle, np.eye(4))
-        rows, cols, data = c.at(5)
-        assert rows is c.rows and cols is c.cols and data is c.data
+        assert c.at(5) is c
 
     @pytest.mark.parametrize("returned, message", [
         (lambda: np.eye(4), "returned ndarray, not a CoefficientMatrix"),

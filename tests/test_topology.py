@@ -90,6 +90,26 @@ class TestSimple:
         for u, v in octahedron.edges:
             assert not is_simple_edge(octahedron, u, v)
 
+    @pytest.mark.parametrize("position, simple", [(0, True), (5050, False)],
+                             ids=["corner", "interior"])
+    def test_one_point_query_reads_one_rim(self, monkeypatch, position, simple):
+        # The verdict reads the space's own adjacency, so a query on the
+        # 100x100 patch asks for at most one neighbour set per rim point,
+        # not one per point of the patch.
+        g = catalog.digital_plane_patch(100, 100).space
+        v = g.points[position]
+        rim_size = g.degree(v)
+        calls = []
+        neighbors = DigitalSpace.neighbors
+
+        def spy(self, p):
+            calls.append(p)
+            return neighbors(self, p)
+
+        monkeypatch.setattr(DigitalSpace, "neighbors", spy)
+        assert is_simple_point(g, v) is simple
+        assert len(calls) <= rim_size
+
 
 class TestAttach:
     def test_attach_point_to_one_point(self, one_point):

@@ -1,17 +1,30 @@
-"""The Smith normal form as it was before the least-entry pivot loop.
+"""Earlier invariants routines, kept verbatim as differential oracles.
 
-A Euclid loop that swaps rows and columns mid-sweep, then retries
-when the pivot does not divide the rest.  It is kept verbatim as a
-differential oracle: on every boundary matrix the tests feed it, it
-terminates, and ``invariants.smith_normal_form`` must return the same
-divisor list.  It does not terminate on every integer matrix (see
+``smith_normal_form`` is the Smith normal form as it was before the
+least-entry pivot loop: a Euclid loop that swaps rows and columns
+mid-sweep, then retries when the pivot does not divide the rest.  On
+every boundary matrix the tests feed it, it terminates, and
+``invariants.smith_normal_form`` must return the same divisor list.  It
+does not terminate on every integer matrix (see
 ``tests/test_invariants.py``), so tests give it only boundary matrices.
 
 ``dense`` turns the sparse columns of ``invariants.boundary_matrix``
 into the rows x columns list of lists this routine reads.
+
+``clique_levels`` and ``homology_profile`` are the homology pipeline as
+it was before d1 was read from the connected components: cliques grown
+by intersecting the neighbours of every member again, and every
+boundary map, d1 included, built and reduced by
+``invariants.smith_normal_form``.  ``invariants.clique_complex`` and
+``invariants.homology`` must give the same simplices, chi, Betti
+numbers and torsion.
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
+
+from digital_pde.graph_core import DigitalSpace
+from digital_pde.invariants import CliqueComplex, boundary_matrix
+from digital_pde.invariants import smith_normal_form as sparse_smith_normal_form
 
 
 def dense(columns: Sequence[Dict[int, int]], rows: int) -> List[List[int]]:
@@ -85,3 +98,37 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> List[int]:
         divisors.append(abs(d))
         top += 1
     return divisors
+
+
+def clique_levels(g: DigitalSpace) -> List[List[Tuple[int, ...]]]:
+    """Every clique of g, grouped by dimension, each level in
+    lexicographic order: (k+1)-cliques grown from k-cliques by adding a
+    larger vertex adjacent to all members."""
+    levels: List[List[Tuple[int, ...]]] = [[(p,) for p in sorted(g.points)]]
+    while True:
+        nxt = []
+        for clique in levels[-1]:
+            common = g.neighbors(clique[0])
+            for p in clique[1:]:
+                common = common & g.neighbors(p)
+            last = clique[-1]
+            for w in sorted(common):
+                if w > last:
+                    nxt.append(clique + (w,))
+        if not nxt:
+            return levels
+        levels.append(nxt)
+
+
+def homology_profile(g: DigitalSpace):
+    """(chi, betti, torsion) of the clique complex, every boundary map
+    reduced, d1 included."""
+    cx = CliqueComplex(clique_levels(g))
+    top = cx.max_dim
+    divisors = [[]]
+    for k in range(1, top + 1):
+        divisors.append(sparse_smith_normal_form(boundary_matrix(cx, k)))
+    divisors.append([])
+    betti = [cx.count(k) - len(divisors[k]) - len(divisors[k + 1]) for k in range(top + 1)]
+    torsion = [[d for d in divisors[k + 1] if d > 1] for k in range(top + 1)]
+    return cx.euler_characteristic(), betti, torsion

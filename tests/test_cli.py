@@ -171,13 +171,15 @@ class TestInvariantsCommand:
     # their Z/2 can come only from the least-entry pivots.
     @pytest.mark.parametrize("source, chi, betti, torsion", [
         ("patch-30x30", 1, [1, 0, 0], [[], [], []]),
+        ("patch-100x100", 1, [1, 0, 0], [[], [], []]),
         ("klein_bottle_16", 0, [1, 1, 0], [[], [2], []]),
         ("projective_plane_11", 1, [1, 0, 0], [[], [2], []]),
-    ], ids=["patch-30x30", "klein_bottle_16", "projective_plane_11"])
+    ], ids=["patch-30x30", "patch-100x100", "klein_bottle_16", "projective_plane_11"])
     def test_in_a_real_process(self, tmp_path, source, chi, betti, torsion):
-        if source == "patch-30x30":
+        if source.startswith("patch-"):
+            side = int(source.rpartition("x")[2])
             source = tmp_path / "patch.json"
-            source.write_text(catalog.digital_plane_patch(30, 30).space.to_json())
+            source.write_text(catalog.digital_plane_patch(side, side).space.to_json())
         done = run_isolated([*CLI, "invariants", str(source)], timeout=60)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {"chi": chi, "betti": betti, "torsion": torsion}

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digital_pde import catalog
-from digital_pde.graph_core import DigitalSpace
+from digital_pde import catalog, invariants
+from digital_pde.graph_core import DigitalSpace, cycle_space, path_space
 from digital_pde.invariants import (
     boundary_matrix,
     clique_complex,
@@ -240,6 +240,54 @@ class TestHomology:
     def test_json_shape(self, klein):
         d = homology(klein).to_json_dict()
         assert set(d) == {"chi", "betti", "torsion"}
+
+
+def disjoint_union(*spaces):
+    """The spaces side by side, each relabelled above the one before."""
+    points, edges, offset = [], [], 0
+    for g in spaces:
+        points += [p + offset for p in g.points]
+        edges += [(u + offset, v + offset) for u, v in g.edges]
+        offset += max(g.points, default=0)
+    return DigitalSpace(points, edges)
+
+
+class TestFirstBoundaryFromComponents:
+    """d1 is the signed incidence matrix, of rank n - c: homology takes its
+    divisors from the connected components and never builds it.  On these
+    inputs that rule decides every Betti number."""
+
+    @pytest.fixture
+    def dimensions(self, monkeypatch):
+        seen = []
+        build = invariants.boundary_matrix
+
+        def recording(cx, k):
+            seen.append(k)
+            return build(cx, k)
+
+        monkeypatch.setattr(invariants, "boundary_matrix", recording)
+        return seen
+
+    @pytest.mark.parametrize("g, chi, betti", [
+        (DigitalSpace([], []), 0, [0]),
+        (DigitalSpace([5], []), 1, [1]),
+        (DigitalSpace([4, 1, 9], []), 3, [3]),
+        (DigitalSpace([1, 2, 3, 4, 5, 6], [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6)]), 1, [1, 0]),
+        (disjoint_union(path_space(3), path_space(1), path_space(5)), 3, [3, 0]),
+        (cycle_space(5), 0, [1, 1]),
+        (disjoint_union(cycle_space(4), cycle_space(4)), 0, [2, 2]),
+    ], ids=["empty", "point", "three-points", "tree", "forest", "5-cycle", "two-4-cycles"])
+    def test_decided_by_components(self, dimensions, g, chi, betti):
+        h = homology(g)
+        assert (h.euler_characteristic, h.betti, h.torsion) == (chi, betti, [[]] * len(betti))
+        assert dimensions == []
+
+    def test_only_higher_maps_are_built(self, dimensions, klein):
+        assert homology(klein).torsion == [[], [2], []]
+        assert dimensions == [2]
+        assert homology(minimal_sphere(3)).betti == [1, 0, 0, 1]
+        assert dimensions == [2, 2, 3]
 
 
 def dense_profile(g):

@@ -59,7 +59,7 @@ class DigitalSpace:
     an edge to no point, and stores each label as a Python int.
     """
 
-    __slots__ = ("points", "edges", "name", "index", "adjacency", "_index", "_adj", "_hash",
+    __slots__ = ("points", "edges", "name", "index", "adjacency", "_index", "_adj",
                  "_ball_keys")
 
     def __init__(self, points: Iterable[int], edges: Iterable[Sequence[int]],
@@ -97,7 +97,6 @@ class DigitalSpace:
         adj = {p: frozenset(s) for p, s in adj.items()}
         object.__setattr__(self, "_adj", adj)  # for neighbors: faster than the proxy
         object.__setattr__(self, "adjacency", MappingProxyType(adj))
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ball_keys", None)
 
     def __setattr__(self, *args):
@@ -117,11 +116,7 @@ class DigitalSpace:
         return set(self.points) == set(other.points) and self.edges == other.edges
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((frozenset(self.points), self.edges))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((frozenset(self.points), self.edges))
 
     def __repr__(self) -> str:
         label = self.name or "space"

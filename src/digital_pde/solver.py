@@ -29,8 +29,9 @@ DIFFUSION_TOL = 1e-12
 DEFAULT_TRAJECTORY_TOL = 1e-10
 BLOWUP_FACTOR = 1e6
 # From this many points on, a product sums slot-major pairs (see
-# ``CoefficientMatrix._slots``) rather than calling ``np.bincount``: below
-# it the slots' fixed cost per product is more than they save.
+# ``CoefficientMatrix._slots``; a hub matrix has none) rather than calling
+# ``np.bincount``: below it the slots' fixed cost per product is more than
+# they save.
 SLOT_MIN_POINTS = 160
 
 MatrixRule = Callable[[int], "CoefficientMatrix"]
@@ -136,45 +137,41 @@ class CoefficientMatrix:
         return mat
 
     @cached_property
-    def _slots(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _slots(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The stored pairs slot-major, built on first use: ``weights`` and
         ``columns`` of shape (w, n), slot k of row i holding that row's
-        k-th pair in column order, then the ordered tail of the pairs past
-        slot w as ``rows``, ``cols`` and ``data``.  w is the most pairs in
-        a row, but at most 2 nnz / n, so the slots hold at most 2 nnz
-        cells whatever a hub's degree.  A padded slot weighs 0 and reads
+        k-th pair in column order, with w the most pairs in a row.  None
+        when w * n > 2 * nnz: a hub row would make most cells padding, so
+        ``np.bincount`` sums such a matrix.  A padded slot weighs 0 and reads
         column n, which the product holds at 0: never a real column, whose
         value may be inf or NaN."""
         n, rows = self.n, self.rows
         counts = np.bincount(rows, minlength=n)
-        width = min(int(counts.max(initial=0)), 2 * len(rows) // n)
+        width = int(counts.max(initial=0))
+        if width * n > 2 * len(rows):
+            return None
         slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        kept = slot < width
-        tail = ~kept
         weights = np.zeros((width, n))
         columns = np.full((width, n), n, dtype=np.intp)
-        weights[slot[kept], rows[kept]] = self.data[kept]
-        columns[slot[kept], rows[kept]] = self.cols[kept]
-        return weights, columns, rows[tail], self.cols[tail], self.data[tail]
+        weights[slot, rows] = self.data
+        columns[slot, rows] = self.cols
+        return weights, columns
 
     def _times(self, f: np.ndarray) -> np.ndarray:
         """C(0) f over the stored pairs: row i sums data * f[col] over its
-        pairs from +0.0, in column order.  Below ``SLOT_MIN_POINTS`` points
-        that sum is ``np.bincount``'s; from there on the slots (``_slots``)
-        give it: the reduction adds slot after slot, one elementwise add
-        each, then the tail is added in pair order, so both paths give the
-        same bits."""
+        pairs from +0.0, in column order.  Below ``SLOT_MIN_POINTS`` points,
+        or when a hub row leaves no slot layout (``_slots`` is None), that
+        sum is ``np.bincount``'s; otherwise the slots give it: the
+        reduction adds slot after slot, one elementwise add each, so both
+        paths give the same bits."""
         n = self.n
-        if n < SLOT_MIN_POINTS:
+        if n < SLOT_MIN_POINTS or self._slots is None:
             return np.bincount(self.rows, self.data * f[self.cols], minlength=n)
-        weights, columns, tail_rows, tail_cols, tail_data = self._slots
+        weights, columns = self._slots
         padded = np.empty(n + 1)
         padded[:n] = f
         padded[n] = 0.0
-        out = np.add.reduce(weights * padded[columns], axis=0, initial=0.0)
-        if len(tail_rows):
-            np.add.at(out, tail_rows, tail_data * padded[tail_cols])
-        return out
+        return np.add.reduce(weights * padded[columns], axis=0, initial=0.0)
 
 
 def _same_space(a: DigitalSpace, b: DigitalSpace) -> bool:
@@ -334,12 +331,17 @@ def step(f: np.ndarray, c: CoefficientMatrix, t: int,
 def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
            t: int) -> None:
     """Hold each boundary point, at its ``rows`` entry, at its value from
-    ``boundary_values(t)``, which must name exactly the boundary points."""
+    ``boundary_values(t)``, which must name exactly the boundary points,
+    each with a real number (as ``_field`` asks of a source; NaN and inf
+    are left to the blow-up guard)."""
     clamps = problem.boundary_values(t)
     for p, i in rows:
         if p not in clamps:
             raise ValueError(f"boundary_values({t}) has no value for boundary point {p}")
-        values[i] = clamps[p]
+        v = clamps[p]
+        if type(v) is not float and not _is_number(v):  # plain floats skip the check
+            raise ValueError(f"boundary_values({t}): expected a number, got {v!r}")
+        values[i] = v
     if len(clamps) != len(rows):
         other = next(p for p in clamps if p not in problem.boundary_points)
         raise ValueError(f"boundary_values({t}) names point {other}, not a boundary point")

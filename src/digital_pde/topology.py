@@ -144,22 +144,19 @@ class _Verdicts:
 
     def contractible(self, pts: frozenset) -> bool:
         """Decided from the rim sizes inside ``pts`` where they suffice:
-        a cone (a point adjacent to all others) is contractible, fewer
-        than |pts| - 1 edges leave ``pts`` disconnected, and a connected
+        a cone (a point adjacent to all others, as a lone point is) is
+        contractible, fewer than |pts| - 1 edges leave ``pts`` disconnected, and a connected
         set with exactly |pts| - 1 edges is a tree, whose leaves are
         simple.  Only the remaining sets are searched."""
         known = self._contractible.get(pts)
         if known is None:
             others = len(pts) - 1
-            if others == 0:
-                known = True
-            else:
-                adj = self.adj
-                rim_size = {v: len(adj[v] & pts) for v in pts}
-                edges = sum(rim_size.values()) // 2
-                known = others in rim_size.values() or (
-                    edges >= others and self.connected(pts)
-                    and (edges == others or self.reduction(pts, rim_size) is not None))
+            adj = self.adj
+            rim_size = {v: len(adj[v] & pts) for v in pts}
+            edges = sum(rim_size.values()) // 2
+            known = others in rim_size.values() or (
+                edges >= others and self.connected(pts)
+                and (edges == others or self.reduction(pts, rim_size) is not None))
             self._contractible[pts] = known
         return known
 
@@ -185,9 +182,7 @@ class _Verdicts:
         depends only on ``adj[v] & live``.  A dead state is remembered by
         its int mask over ``g.index`` (bit i is ``g.points[i]``), for the
         length of the public call (``start`` itself is not: its verdict
-        is kept by ``contractible``).  The mask and a mutable copy of the
-        live points are made at the first simple point, so a start with
-        none costs no more than its scan.  A backtrack remembers the dead
+        is kept by ``contractible``).  A backtrack remembers the dead
         state, puts the last point back and resumes just after its key.
 
         The first time it would backtrack from a state below ``start``,
@@ -201,7 +196,7 @@ class _Verdicts:
         has chi = 1, so it runs, and finds its order, exactly as without
         the count."""
         adj, index, dead = self.adj, self.index, self._dead
-        live = start  # a set of its own from the first deletion on
+        live, mask = set(start), sum(1 << index[w] for w in start)
         if rim_size is None:
             rim_size = {v: len(adj[v] & start) for v in start}
         buckets = [[] for _ in range(max(rim_size.values()) + 1)]
@@ -209,7 +204,6 @@ class _Verdicts:
             buckets[rim_size[v]].append(v)
         simple: Dict[int, bool] = {}  # verdicts of live points, while valid
         deleted: List[Tuple[int, int]] = []  # the (rim size, label) key of each deletion
-        mask = None  # of the live points, from the first simple point on
         counted = False
 
         def move(w: int, by: int) -> None:
@@ -257,8 +251,6 @@ class _Verdicts:
                 continue
             size, at = found
             v = buckets[size][at]
-            if mask is None:
-                live, mask = set(start), sum(1 << index[w] for w in start)
             if (mask ^ 1 << index[v]) in dead:
                 resume = size, at + 1
                 continue

@@ -473,6 +473,32 @@ class TestSolveBvp:
         with pytest.raises(ValueError, match=named):
             solve_bvp(problem)
 
+    @staticmethod
+    def clamped_at_step_2(four_cycle, value):
+        """Point 1 held at 1.0, and at ``value`` from boundary_values(2)."""
+        return Problem(four_cycle, uniform_coefficients(four_cycle, 0.1, 0.8), np.zeros(4),
+                       boundary_points=[1],
+                       boundary_values=lambda t: {1: value if t == 2 else 1.0},
+                       steps=5, tol=0.0)
+
+    @pytest.mark.parametrize("value", [True, np.True_, "2.5", None, 1 + 2j],
+                             ids=["bool", "numpy-bool", "string", "none", "complex"])
+    def test_clamp_not_a_number_refused(self, four_cycle, value):
+        with pytest.raises(ValueError, match=r"^boundary_values\(2\): expected a number, "
+                                             f"got {re.escape(repr(value))}$"):
+            solve_bvp(self.clamped_at_step_2(four_cycle, value))
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), np.float64(2.0)])
+    def test_clamp_real_numbers_run(self, four_cycle, value):
+        expected = solve_bvp(self.clamped_at_step_2(four_cycle, 2.0)).values
+        got = solve_bvp(self.clamped_at_step_2(four_cycle, value)).values
+        np.testing.assert_array_equal(got, expected)
+        assert got[2, 0] == 2.0
+
+    def test_clamp_nan_is_a_divergence(self, four_cycle):
+        with pytest.raises(DivergenceError, match="^norm nan exceeded blow-up guard at step 2$"):
+            solve_bvp(self.clamped_at_step_2(four_cycle, float("nan")))
+
     def test_repeated_boundary_points_rejected(self, four_cycle):
         c = uniform_coefficients(four_cycle, 0.1, 0.8)
         with pytest.raises(ValueError, match=r"^boundary_points: repeated points in \[1, 1\]$"):

@@ -1,9 +1,9 @@
 """The step product is exact: each row of C f equals, bit for bit and
 sign for sign, the sum of that row's coefficient times value products
 taken from 0.0 in column order in plain Python floats.  Both kernels are
-checked (``np.bincount`` below ``SLOT_MIN_POINTS`` points, the slot-major
-layout from there on), through ``step``, ``elliptic_residual`` and a rule
-of prebuilt matrices."""
+checked (``np.bincount`` below ``SLOT_MIN_POINTS`` points or when a hub row
+leaves no slot layout, the slot-major layout otherwise), through ``step``,
+``elliptic_residual`` and a rule of prebuilt matrices."""
 
 import random
 
@@ -18,6 +18,7 @@ from digital_pde.solver import (
     step,
     uniform_coefficients,
 )
+from digital_pde.topology import cone
 
 
 @pytest.fixture(params=["bincount", "slots"])
@@ -73,14 +74,19 @@ def assert_exact(got, expected):
 
 
 def assert_slots_bounded(c):
-    if c.n >= solver.SLOT_MIN_POINTS:
-        weights, columns, tail_rows, _, _ = c._slots
+    """No slot layout, or one of between nnz and 2 nnz cells."""
+    if c._slots is not None:
+        weights, columns = c._slots
         assert weights.shape == columns.shape
-        assert weights.size <= 2 * len(c.data)
-        assert weights.size + len(tail_rows) >= len(c.data)
+        assert len(c.data) <= weights.size <= 2 * len(c.data)
 
 
-def check_product(c, pairs, seed):
+def check_product(c, pairs, seed, kernel):
+    """Bit-exact steps on ``fields``.  Under the ``slots`` kernel the
+    matrix must have a slot layout, so that the case does not test
+    ``np.bincount`` twice; a hub matrix built to fall back passes None."""
+    if kernel == "slots":
+        assert c._slots is not None
     for f in fields(c.n, seed):
         assert_exact(step(f, c, 0), reference_product(pairs, f))
     assert_slots_bounded(c)
@@ -96,7 +102,7 @@ def test_plane_patches(kernel, side):
     rng = random.Random(side)
     diag = [rng.uniform(-1.0, 1.0) for _ in space.points]
     c = uniform_coefficients(space, 0.1, dict(zip(space.points, diag)))
-    check_product(c, uniform_pairs(space, 0.1, diag), side)
+    check_product(c, uniform_pairs(space, 0.1, diag), side, kernel)
 
 
 @pytest.mark.parametrize("name", catalog.names())
@@ -104,34 +110,78 @@ def test_catalog_spaces(kernel, name):
     space = catalog.space(name)
     diag = [1.0 - 0.05 * len(space.neighbors(p)) for p in space.points]
     c = uniform_coefficients(space, 0.05, dict(zip(space.points, diag)))
-    check_product(c, uniform_pairs(space, 0.05, diag), len(space.points))
+    check_product(c, uniform_pairs(space, 0.05, diag), len(space.points), kernel)
 
 
-def test_star_plus_path_uses_the_tail():
+def random_pairs_matrix(space, seed):
+    rng = random.Random(seed)
+    pairs = row_pairs(space, lambda i, j: rng.uniform(-1.0, 1.0))
+    return matrix(space, pairs), pairs
+
+
+def patch_plus_a_hub(degree):
+    """The 40x40 plane patch and one more point joined to its first
+    ``degree`` points."""
+    patch = catalog.digital_plane_patch(40, 40).space
+    hub = max(patch.points) + 1
+    return DigitalSpace(patch.points + (hub,),
+                        set(patch.edges) | {(hub, p) for p in patch.points[:degree]})
+
+
+def test_star_plus_path_falls_back(kernel):
     # Point 1 is joined to 1,000 points and a path runs through 2..3000:
-    # its row has 1,001 pairs, far more than 2 nnz / n, so most of them
-    # are summed after the slots, in column order.
+    # its row has 1,001 pairs, so w * n is far above 2 nnz and the
+    # product is np.bincount's.
     n = 3000
     space = DigitalSpace(range(1, n + 1),
                          [(1, p) for p in range(2, 1002)] + [(p, p + 1) for p in range(2, n)])
-    rng = random.Random(3)
-    pairs = row_pairs(space, lambda i, j: rng.uniform(-1.0, 1.0))
-    c = matrix(space, pairs)
-    weights, _, tail_rows, _, _ = c._slots
-    assert len(weights) < 1001 and set(tail_rows.tolist()) == {0}
-    check_product(c, pairs, 3)
+    c, pairs = random_pairs_matrix(space, 3)
+    assert c._slots is None
+    check_product(c, pairs, 3, None)
+
+
+def test_cone_over_a_patch_falls_back(kernel):
+    # The apex's row holds all 1,601 points.
+    c, pairs = random_pairs_matrix(cone(catalog.digital_plane_patch(40, 40).space), 4)
+    assert c.n == 1601 and c._slots is None
+    check_product(c, pairs, 4, None)
+
+
+@pytest.mark.parametrize("degree, slots", [(12, True), (30, False)])
+def test_patch_plus_a_hub(kernel, degree, slots):
+    # n = 1601 and nnz = 10,883 + 2 degree: a hub row of 13 pairs keeps
+    # w * n <= 2 nnz, one of 31 does not.
+    c, pairs = random_pairs_matrix(patch_plus_a_hub(degree), degree)
+    assert c.n == 1601 and (c._slots is not None) == slots
+    check_product(c, pairs, degree, kernel if slots else None)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_signed_weights_with_zero_diagonal(kernel, seed):
+    def signed_matrix(edges):
+        space = DigitalSpace(range(n), edges)
+        pairs = row_pairs(space,
+                          lambda i, j: 0.0 if i == j else rng.choice([-1, 1]) * rng.random())
+        c = matrix(space, pairs)
+        assert not (c.rows == c.cols).any()
+        return c, pairs
+
     rng = random.Random(seed)
     n = rng.randint(2, 300)
-    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 6 / n}
-    space = DigitalSpace(range(n), edges)
-    pairs = row_pairs(space, lambda i, j: 0.0 if i == j else rng.choice([-1, 1]) * rng.random())
-    c = matrix(space, pairs)
-    assert not (c.rows == c.cols).any()
-    check_product(c, pairs, seed)
+    c, pairs = signed_matrix(
+        {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 6 / n})
+    # Most of these graphs have a point of more than twice the mean degree:
+    # w * n > 2 nnz, and the product is np.bincount's under either kernel.
+    fits = max(map(len, pairs)) * n <= 2 * sum(map(len, pairs))
+    assert (c._slots is not None) == fits
+    check_product(c, pairs, seed, kernel if fits else None)
+    # A ring with random chords: every degree is at most 3 and the mean at
+    # least 2 (1 for n = 2), so the slots fit.
+    order = list(range(n))
+    rng.shuffle(order)
+    ring = {(u, (u + 1) % n) for u in range(n)}
+    c, pairs = signed_matrix(ring | set(zip(order[::2], order[1::2])))
+    check_product(c, pairs, seed, kernel)
 
 
 def test_elliptic_residual_with_inf_and_nan(kernel):

@@ -444,7 +444,7 @@ class TestTreesAndEdgeCounts:
 
     @pytest.fixture()
     def no_search(self, monkeypatch):
-        def refuse(self, pts):
+        def refuse(self, *args):
             raise AssertionError("searched")
 
         monkeypatch.setattr(_Verdicts, "reduction", refuse)
@@ -478,6 +478,7 @@ class TestTreesAndEdgeCounts:
         monkeypatch.setattr(_Verdicts, "connected", no_search)
         assert not self.verdict(DigitalSpace([1, 2, 3, 4], [(1, 2), (3, 4)]))
         assert self.verdict(cone(cycle_space(6)))
+        assert self.verdict(DigitalSpace([1], []))  # a lone point is a cone
 
     @given(trees_plus_an_edge())
     @settings(max_examples=150, deadline=None)

@@ -33,6 +33,12 @@ BLOWUP_FACTOR = 1e6
 # ``np.bincount``: below it the slots' fixed cost per product is more than
 # they save.
 SLOT_MIN_POINTS = 160
+# A run computes its steps in blocks of up to BLOCK_ROWS rows, fewer when a
+# block would hold more than BLOCK_BYTES, and checks the blow-up guard and
+# tol once per block: two reductions over the block rather than four numpy
+# calls and two Python floats per step.
+BLOCK_ROWS = 32
+BLOCK_BYTES = 1 << 19
 
 MatrixRule = Callable[[int], "CoefficientMatrix"]
 
@@ -157,21 +163,28 @@ class CoefficientMatrix:
         columns[slot, rows] = self.cols
         return weights, columns
 
-    def _times(self, f: np.ndarray) -> np.ndarray:
-        """C(0) f over the stored pairs: row i sums data * f[col] over its
-        pairs from +0.0, in column order.  Below ``SLOT_MIN_POINTS`` points,
-        or when a hub row leaves no slot layout (``_slots`` is None), that
-        sum is ``np.bincount``'s; otherwise the slots give it: the
-        reduction adds slot after slot, one elementwise add each, so both
-        paths give the same bits."""
+    def _times(self, f: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """C(0) f over the stored pairs, into ``out`` when given (which must
+        not be ``f``): row i sums data * f[col] over its pairs from +0.0, in
+        column order.  Below ``SLOT_MIN_POINTS`` points, or when a hub row
+        leaves no slot layout (``_slots`` is None), that sum is
+        ``np.bincount``'s; otherwise the slots give it: the reduction adds
+        slot after slot, one elementwise add each, so both paths give the
+        same bits."""
         n = self.n
         if n < SLOT_MIN_POINTS or self._slots is None:
-            return np.bincount(self.rows, self.data * f[self.cols], minlength=n)
+            product = np.bincount(self.rows, self.data * f[self.cols], minlength=n)
+            if out is None:
+                return product
+            out[:] = product
+            return out
         weights, columns = self._slots
         padded = np.empty(n + 1)
         padded[:n] = f
         padded[n] = 0.0
-        return np.add.reduce(weights * padded[columns], axis=0, initial=0.0)
+        terms = padded[columns]
+        terms *= weights
+        return np.add.reduce(terms, axis=0, initial=0.0, out=out)
 
 
 def _same_space(a: DigitalSpace, b: DigitalSpace) -> bool:
@@ -259,7 +272,14 @@ class Problem:
     once, by the constructor, and frozen after it (``dataclasses.replace``
     checks again).  ``initial`` is kept as a read-only float copy and
     ``boundary_points`` as a tuple; ``steps`` may be an integral float.
-    What it cannot run is refused with a ValueError naming the field."""
+    What it cannot run is refused with a ValueError naming the field.
+
+    A run computes its steps in blocks (see ``BLOCK_ROWS``) and checks the
+    blow-up guard and ``tol`` once per block, so ``source``,
+    ``boundary_values`` and a coefficient ``rule`` may be called for up to
+    one block of steps past the step that ends the run.  Those calls do not
+    change the run's outcome: what they return is dropped, and what they
+    raise there is dropped too."""
 
     space: DigitalSpace
     coefficients: CoefficientMatrix
@@ -318,13 +338,15 @@ class Trajectory:
         return [FieldState(t=t, values=row) for t, row in enumerate(self.values)]
 
 
-def step(f: np.ndarray, c: CoefficientMatrix, t: int,
-         g: Optional[np.ndarray] = None) -> np.ndarray:
+def step(f: np.ndarray, c: CoefficientMatrix, t: int, g: Optional[np.ndarray] = None,
+         out: Optional[np.ndarray] = None) -> np.ndarray:
     """One explicit update f(t) -> f(t+1): C(t) f over its stored pairs,
-    plus the source g(t), which must hold one value per point."""
-    nxt = (c if c.rule is None else c.at(t))._times(f)
+    plus the source g(t), which must hold one value per point.  Written
+    into ``out`` when given (a run passes its next record row), which must
+    not be ``f``; the values are the same either way."""
+    nxt = (c if c.rule is None else c.at(t))._times(f, out)
     if g is not None:
-        nxt = nxt + _field(c, g, f"source({t})")
+        nxt += _field(c, g, f"source({t})")
     return nxt
 
 
@@ -347,50 +369,75 @@ def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
         raise ValueError(f"boundary_values({t}) names point {other}, not a boundary point")
 
 
-# Overflow warnings are off: the guard refuses an inf 1-norm; an inf change is no convergence.
-@np.errstate(over="ignore")
+# Overflow and invalid-value warnings are off: the guard refuses an inf or
+# NaN 1-norm, and an inf or NaN change is no convergence.  A block may run
+# past the step that ends the run, into values that overflow.
+@np.errstate(over="ignore", invalid="ignore")
 def _iterate(problem: Problem) -> Trajectory:
     c = problem.coefficients
+    n = c.n
     rows = [(p, problem.space.index[p]) for p in problem.boundary_points or ()]
-    f = problem.initial.copy()
+    # Row t of the record is f(t), with its 1-norm at norms[t].  Both start
+    # small and double in place when a block would not fit, rather than
+    # being sized by the step cap, which may be far beyond memory for a run
+    # that converges early.  Resizing in place is safe because no view of
+    # them is used across a resize, and none is handed out until the run ends.
+    record = np.empty((min(problem.steps, 255) + 1, n))
+    norms = np.empty(len(record))
+    record[0] = problem.initial
     if rows:
-        _clamp(f, problem, rows, 0)
-    # Row t of the record is f(t).  It starts small and doubles in place
-    # when full, rather than being sized by the step cap, which may be far
-    # beyond memory for a run that converges early.  Resizing in place is
-    # safe because no view of it exists until the run ends.
-    record = np.empty((min(problem.steps, 255) + 1, len(f)))
-    record[0] = f
-    # 1-norms by np.add.reduce: the sum ndarray.sum computes, without its
-    # Python wrapper (two calls a step, about 6% of a step at n = 16).  One
-    # scratch row holds |f(t+1)|, then |f(t+1) - f(t)|, so neither allocates.
-    total, absolute, subtract = np.add.reduce, np.abs, np.subtract
-    scratch = np.empty(len(f))
-    norms = [float(total(absolute(f)))]
+        _clamp(record[0], problem, rows, 0)
+    # 1-norms and changes by np.add.reduce over each row of a block: per
+    # row, the same sum as ndarray.sum, without its Python wrapper.
+    norms[0] = np.add.reduce(np.abs(record[0]))
     # Finite, so that a 1-norm that overflows is a blow-up, even at t = 0.
     guard = min(BLOWUP_FACTOR * max(norms[0], 1.0), sys.float_info.max)
     if not norms[0] <= guard:
         raise DivergenceError(f"norm {norms[0]:.3g} exceeded blow-up guard at step 0")
-    converged = False
-    source, tol = problem.source, problem.tol
-    for t in range(problem.steps):
-        nxt = step(f, c, t, None if source is None else source(t))
-        if rows:
-            _clamp(nxt, problem, rows, t + 1)
-        if t + 1 == len(record):
-            record.resize((2 * len(record), len(f)), refcheck=False)
-        record[t + 1] = nxt
-        norm = float(total(absolute(nxt, scratch)))
-        norms.append(norm)
-        if not norm <= guard:
-            raise DivergenceError(
-                f"norm {norm:.3g} exceeded blow-up guard at step {t + 1}")
-        converged = float(total(absolute(subtract(nxt, f, scratch), scratch))) < tol
-        f = nxt
-        if converged:
-            break
-    values = record[:len(norms)]
-    return Trajectory(values, values.sum(axis=1), np.array(norms), converged)
+    block = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * max(n, 1))))
+    scratch = np.empty((block, n))
+    source, tol, steps = problem.source, problem.tol, problem.steps
+    converged, t = False, 0  # rows 0..t are recorded and checked
+    while t < steps:
+        end = min(t + block, steps)
+        if end >= len(record):
+            size = 2 * len(record)
+            while size <= end:
+                size *= 2
+            record.resize((size, n), refcheck=False)
+            norms.resize(size, refcheck=False)
+        # Rows t+1..end, each product written into its record row.  What
+        # source, boundary_values or a rule raises past the step that ends
+        # the run is dropped: the run's outcome is that step's.
+        error = None
+        try:
+            for s in range(t, end):
+                nxt = step(record[s], c, s, None if source is None else source(s),
+                           record[s + 1])
+                if rows:
+                    _clamp(nxt, problem, rows, s + 1)
+        except Exception as exc:  # re-raised below unless the run stopped before step s + 1
+            error, end = exc, s
+        k = end - t
+        norm = np.add.reduce(np.abs(record[t + 1:end + 1], scratch[:k]), axis=1,
+                             out=norms[t + 1:end + 1])
+        over = np.flatnonzero(~(norm <= guard))
+        # Steps before the first blow-up; within one step the guard wins.
+        k = int(over[0]) if len(over) else k
+        if tol > 0:  # a change, never negative, cannot be below tol <= 0
+            change = np.subtract(record[t + 1:t + k + 1], record[t:t + k], scratch[:k])
+            done = np.flatnonzero(np.add.reduce(np.abs(change, change), axis=1) < tol)
+            if len(done):
+                t, converged = t + int(done[0]) + 1, True
+                break
+        if len(over):
+            raise DivergenceError(f"norm {norm[k]:.3g} exceeded blow-up guard "
+                                  f"at step {t + k + 1}")
+        if error is not None:
+            raise error
+        t = end
+    values = record[:t + 1]
+    return Trajectory(values, values.sum(axis=1), norms[:t + 1], converged)
 
 
 def solve_ivp(problem: Problem) -> Trajectory:
@@ -425,20 +472,45 @@ def stability_bound_check(c: CoefficientMatrix) -> bool:
     return float(np.abs(c.data).max(initial=0.0)) < 1.0 / c.n
 
 
-def _support_verdicts(c: CoefficientMatrix) -> Tuple[bool, bool]:
-    """(irreducible, primitive) for C(0), from one sparse graph of its
-    support arcs i -> j (C[i,j] != 0): strongly connected, and that with
-    period 1.  With ``level`` the breadth-first distance from point 0, a
-    closed walk's length is a sum of the terms level[i] + 1 - level[j] over
-    its arcs, and their gcd over all arcs is the period (a nonzero
-    diagonal entry gives a term of 1)."""
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components, shortest_path
+def _levels(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from point 0 over the arcs heads[k] -> tails[k]
+    (``heads`` ascending), -1 where point 0 does not reach."""
+    first = np.searchsorted(heads, np.arange(n + 1))  # point i's arcs: first[i]..first[i+1]
+    counts = np.diff(first)
+    level = np.full(n, -1, dtype=np.int64)
+    level[0] = 0
+    owner = np.empty(n, dtype=np.intp)
+    frontier, depth = np.zeros(1, dtype=np.intp), 0
+    while len(frontier):
+        depth += 1
+        count = counts[frontier]
+        ends = np.cumsum(count)
+        arcs = np.arange(ends[-1]) + np.repeat(first[frontier] - (ends - count), count)
+        reached = tails[arcs]
+        reached = reached[level[reached] < 0]
+        # Each point once: of its copies, only the one whose slot it holds.
+        slots = np.arange(len(reached))
+        owner[reached] = slots
+        frontier = reached[owner[reached] == slots]
+        level[frontier] = depth
+    return level
 
-    support = csr_array((np.ones(len(c.data)), (c.rows, c.cols)), shape=(c.n, c.n))
-    if connected_components(support, directed=True, connection="strong")[0] != 1:
+
+def _support_verdicts(c: CoefficientMatrix) -> Tuple[bool, bool]:
+    """(irreducible, primitive) for C(0), from its support arcs i -> j
+    (C[i,j] != 0): strongly connected, and that with period 1.  Strongly
+    connected means point 0 reaches every point forward and backward.  With
+    ``level`` the forward breadth-first distance from point 0, a closed
+    walk's length is a sum of the terms level[i] + 1 - level[j] over its
+    arcs, and their gcd over all arcs is the period (a nonzero diagonal
+    entry gives a term of 1)."""
+    n = c.n
+    if n == 0:
         return False, False
-    level = shortest_path(support, unweighted=True, indices=0).astype(np.int64)
+    level = _levels(n, c.rows, c.cols)
+    order = np.argsort(c.cols, kind="stable")
+    if (level < 0).any() or (_levels(n, c.cols[order], c.rows[order]) < 0).any():
+        return False, False
     return True, int(np.gcd.reduce(level[c.rows] + 1 - level[c.cols])) == 1
 
 
@@ -471,7 +543,11 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     C^t converges to a matrix with equal columns exactly when C is
     primitive; otherwise (reducible, or irreducible with period > 1)
     no limit is reported and ``limit`` and ``stationary_column`` are
-    None.  The stationary column solves C x = x with sum(x) = 1.
+    None.  The stationary column solves C x = x with sum(x) = 1.  When
+    the rows of C also sum to one (within ``DIFFUSION_TOL``), as those of
+    every symmetric diffusion do, C fixes the uniform vector, and a
+    primitive C fixes no other column of sum 1 (Perron-Frobenius), so
+    the column is 1/n everywhere and no solve is made.
     """
     if c.rule is not None:
         raise ValueError("limit_matrix supports constant coefficients only")
@@ -480,26 +556,40 @@ def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
     irreducible, primitive = _support_verdicts(c)
     if not primitive:
         return SpectralReport(irreducible, False, None)
-    from scipy.sparse import csc_array
-    from scipy.sparse.linalg import spsolve
-
-    # C - I with its last row replaced by ones; entries given twice
-    # (C[i,i] and -1) are summed.
     n = c.n
-    kept = c.rows < n - 1
-    diag = np.arange(n - 1)
-    system = csc_array((np.concatenate((c.data[kept], -np.ones(n - 1), np.ones(n))),
-                        (np.concatenate((c.rows[kept], diag, np.full(n, n - 1))),
-                         np.concatenate((c.cols[kept], diag, np.arange(n))))),
-                       shape=(n, n))
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
-    column = np.atleast_1d(spsolve(system, rhs))
+    if np.all(np.abs(np.bincount(c.rows, c.data, minlength=n) - 1.0) <= DIFFUSION_TOL):
+        column = np.full(n, 1.0 / n)
+    else:
+        column = _pinned_fixed_column(c)
     residual = float(np.abs(c._times(column) - column).max())
     if residual > 1e-9:
         raise AssertionError(
             f"stationary column of a primitive matrix is not fixed (residual {residual:.3g})")
     return SpectralReport(True, True, column)
+
+
+def _pinned_fixed_column(c: CoefficientMatrix) -> np.ndarray:
+    """The column x = C x of sum 1 of a primitive diffusion C on n >= 2
+    points, by one sparse solve with x[n-1] pinned to 1: on the other m =
+    n - 1 points x = C x reads (I - C)[:m, :m] x[:m] = C[:m, m].  Every
+    proper principal submatrix of I - C is nonsingular when C is
+    irreducible, so that system has one solution."""
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import spsolve
+
+    m = c.n - 1
+    inner = (c.rows < m) & (c.cols < m)
+    last = (c.rows < m) & (c.cols == m)
+    diag = np.arange(m)
+    # -C[:m, :m] plus the identity; entries given twice (-C[i,i] and 1) are summed.
+    system = csc_array((np.concatenate((-c.data[inner], np.ones(m))),
+                        (np.concatenate((c.rows[inner], diag)),
+                         np.concatenate((c.cols[inner], diag)))),
+                       shape=(m, m))
+    rhs = np.zeros(m)
+    rhs[c.rows[last]] = c.data[last]
+    x = np.append(np.atleast_1d(spsolve(system, rhs)), 1.0)
+    return x / x.sum()
 
 
 def _field(c: CoefficientMatrix, f, name: str, finite: bool = False) -> np.ndarray:

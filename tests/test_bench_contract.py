@@ -61,7 +61,9 @@ def test_tracer_sees_homology_layers(spans):
 
 def test_tracer_counts_one_step_per_scheme_step(spans):
     """``_iterate`` calls ``step`` through the module's name once per
-    step, so ``solver.step.calls`` counts the steps a run took."""
+    step it computes, so ``solver.step.calls`` counts the steps of a run
+    to its step cap; a run that stops earlier computes up to one block of
+    steps past its stop (``solver.BLOCK_ROWS``), and they are counted too."""
     import numpy as np
 
     from digital_pde import catalog, solver

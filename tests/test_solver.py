@@ -28,6 +28,8 @@ from digital_pde.solver import (
     uniform_coefficients,
 )
 
+import reference_solver as ref
+
 
 @pytest.fixture(scope="module")
 def klein_coeffs(klein):
@@ -369,15 +371,21 @@ class TestSolveIvp:
             np.testing.assert_array_equal(row, f)
             f = step(f, klein_coeffs, t)
 
-    def test_step_cap_far_beyond_memory(self, klein, klein_coeffs):
-        # 10**8 rows of 16 values would not fit in memory; the run stops
-        # on tol long before, and only its rows are stored.
+    def test_step_cap_far_beyond_memory(self, klein):
+        # 10**12 rows of 16 values would not fit in memory; the run stops
+        # on tol long before.  The record and the norms start at 256 rows
+        # and double, so they hold fewer than twice the rows used plus
+        # one block of look-ahead.
         f0 = np.zeros(16)
         f0[0] = 16.0
-        trajectory = solve_ivp(Problem(klein, klein_coeffs, f0, steps=10**8, tol=1e-10))
-        assert trajectory.converged
+        slow = uniform_coefficients(klein, 0.01, 0.92)
+        trajectory = solve_ivp(Problem(klein, slow, f0, steps=10**12, tol=1e-10))
+        rows = len(trajectory.values)
+        assert trajectory.converged and 512 < rows < 10**4
         np.testing.assert_array_equal(
-            trajectory.values, solve_ivp(Problem(klein, klein_coeffs, f0)).values)
+            trajectory.values, solve_ivp(Problem(klein, slow, f0, steps=10**4)).values)
+        for kept in (trajectory.values.base, trajectory.norms.base):
+            assert len(kept) < 2 * (rows + solver.BLOCK_ROWS)
 
     def test_divergence_guard(self, four_cycle):
         mat = np.eye(4) * 2.0  # doubles mass each step
@@ -426,6 +434,159 @@ class TestSolveIvp:
         trajectory = solve_ivp(Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0))
         assert trajectory.states[1].values.sum() == 4.0
         assert trajectory.states[2].values.sum() == 0.0
+
+
+def assert_matches_reference(trajectory, problem):
+    """Rows, sums, norms and ``converged`` bitwise those of the per-step
+    loop of ``reference_solver.trajectory``."""
+    rows, sums, norms, converged = ref.trajectory(problem)
+    assert np.array_equal(trajectory.values, np.array(rows))
+    assert trajectory.sums.tolist() == sums
+    assert trajectory.norms.tolist() == norms
+    assert trajectory.converged == converged
+
+
+@pytest.fixture(params=[solver.BLOCK_ROWS, 5], ids=["block32", "block5"])
+def block(request, monkeypatch):
+    """The block size of a run on few points: the module's, and a smaller
+    one, so that stops fall on both sides of more boundaries."""
+    monkeypatch.setattr(solver, "BLOCK_ROWS", request.param)
+    return request.param
+
+
+class TestBlockedRun:
+    """A run checks the blow-up guard and tol once per block of steps; its
+    outcome is the per-step loop's wherever in a block the run stops."""
+
+    @staticmethod
+    def changes(problem):
+        """The 1-norm of f(t+1) - f(t) for t = 0..steps-1, as the per-step
+        loop computes it."""
+        rows = ref.trajectory(dataclasses.replace(problem, tol=0.0))[0]
+        return [float(np.abs(b - a).sum()) for a, b in zip(rows, rows[1:])]
+
+    @staticmethod
+    def stepping(four_cycle, jumps, tol=1.0, coefficients=None, **fields):
+        """The identity on the 4-cycle from ones, plus a source that adds
+        ``jumps[t]`` to every point at step t, 1.0 when not named: a change
+        of 4 * jumps[t], below tol = 1 when the jump is 0."""
+        if coefficients is None:
+            coefficients = bind(four_cycle, np.eye(4))
+        return Problem(four_cycle, coefficients, np.ones(4),
+                       source=lambda t: np.full(4, jumps.get(t, 1.0)), steps=200, tol=tol,
+                       **fields)
+
+    @staticmethod
+    def run(problem):
+        return solve_bvp(problem) if problem.has_boundary else solve_ivp(problem)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last-but-one", "last",
+                                       "next-first", "second-last"])
+    @pytest.mark.parametrize("cap", [0, 1, 100], ids=["at-cap", "cap+1", "cap+100"])
+    def test_convergence_anywhere_in_a_block(self, klein, klein_coeffs, block, where, cap):
+        stop = {"first": 1, "middle": block // 2 + 1, "last-but-one": block - 1, "last": block,
+                "next-first": block + 1, "second-last": 2 * block}[where]
+        f0 = np.zeros(16)
+        f0[0] = 16.0
+        problem = Problem(klein, klein_coeffs, f0, steps=stop + cap, tol=0.0)
+        changes = self.changes(problem)
+        tol = float(np.nextafter(changes[stop - 1], np.inf))
+        assert min(changes[:stop - 1], default=np.inf) >= tol  # no earlier stop
+        problem = dataclasses.replace(problem, tol=tol)
+        trajectory = solve_ivp(problem)
+        assert trajectory.converged and len(trajectory.values) == stop + 1
+        assert_matches_reference(trajectory, problem)
+        if stop > 1:  # one step short of convergence: the cap ends the run
+            short = dataclasses.replace(problem, steps=stop - 1)
+            trajectory = solve_ivp(short)
+            assert not trajectory.converged and len(trajectory.values) == stop
+            assert_matches_reference(trajectory, short)
+
+    @pytest.mark.parametrize("where", ["first", "last", "next-first", "second-last"])
+    @pytest.mark.parametrize("tol", [0.0, 1.0])
+    def test_divergence_anywhere_in_a_block(self, four_cycle, block, where, tol):
+        at = {"first": 1, "last": block, "next-first": block + 1, "second-last": 2 * block}[where]
+        problem = self.stepping(four_cycle, {at - 1: 1e300}, tol=tol)
+        with pytest.raises(DivergenceError,
+                           match=f"^norm 4e\\+300 exceeded blow-up guard at step {at}$"):
+            solve_ivp(problem)
+
+    def test_convergence_before_a_blow_up_in_the_same_block(self, four_cycle, block):
+        problem = self.stepping(four_cycle, {2: 0.0, 3: 1e300})
+        trajectory = solve_ivp(problem)
+        assert trajectory.converged and len(trajectory.values) == 4
+        assert_matches_reference(trajectory, problem)
+
+    def test_blow_up_before_convergence_in_the_same_block(self, four_cycle, block):
+        problem = self.stepping(four_cycle, {2: 1e300, 3: 0.0})
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            solve_ivp(problem)
+
+    @pytest.mark.parametrize("at", [2, 3, 4, 5, 6])
+    def test_guard_wins_within_one_step(self, four_cycle, block, at):
+        # f(at - 1) is 1e6 at every point, a 1-norm of 4e6, the guard itself;
+        # then 0.1 more: the guard trips, and the change of 0.4 is below tol.
+        problem = self.stepping(four_cycle, {at - 2: 1e6 - (at - 1), at - 1: 0.1})
+        with pytest.raises(DivergenceError,
+                           match=f"^norm 4e\\+06 exceeded blow-up guard at step {at}$"):
+            solve_ivp(problem)
+
+    @staticmethod
+    def raising(callback, four_cycle, jumps, after):
+        """``stepping``, with ``callback`` raising when it is called for a
+        row past ``after``: source(t) and rule(t) for row t + 1,
+        boundary_values(t) for row t."""
+        def check(row):
+            if row > after:
+                raise RuntimeError(f"{callback} for row {row}")
+
+        eye = bind(four_cycle, np.eye(4))
+        fields = {
+            "source": {},
+            "boundary_values": {"boundary_points": [1],
+                                "boundary_values": lambda t: check(t) or {1: 1.0}},
+            "rule": {"coefficients": bind(four_cycle, np.eye(4),
+                                          rule=lambda t: check(t + 1) or eye)},
+        }[callback]
+        problem = TestBlockedRun.stepping(four_cycle, jumps, **fields)
+        if callback == "source":
+            source = problem.source
+            problem = dataclasses.replace(problem, source=lambda t: check(t + 1) or source(t))
+        return problem
+
+    @pytest.mark.parametrize("callback", ["source", "boundary_values", "rule"])
+    @pytest.mark.parametrize("where", ["middle", "last-but-one"])
+    def test_raise_past_a_convergence_is_dropped(self, four_cycle, callback, where, block):
+        stop = 3 if where == "middle" else block - 1
+        problem = self.raising(callback, four_cycle, {stop - 1: 0.0}, after=stop)
+        trajectory = self.run(problem)
+        assert trajectory.converged and len(trajectory.values) == stop + 1
+        assert_matches_reference(trajectory, problem)
+
+    @pytest.mark.parametrize("callback", ["source", "boundary_values", "rule"])
+    def test_raise_past_a_blow_up_is_dropped(self, four_cycle, callback, block):
+        problem = self.raising(callback, four_cycle, {2: 1e300}, after=3)
+        with pytest.raises(DivergenceError, match="at step 3$"):
+            self.run(problem)
+
+    @pytest.mark.parametrize("callback", ["source", "boundary_values", "rule"])
+    @pytest.mark.parametrize("after", [3, 40])
+    def test_raise_before_the_run_stops_propagates(self, four_cycle, callback, after, block):
+        problem = self.raising(callback, four_cycle, {}, after=after)
+        with pytest.raises(RuntimeError, match=f"^{callback} for row {after + 1}$"):
+            self.run(problem)
+
+    def test_step_is_one_row_of_a_run(self, four_cycle):
+        g = np.array([0.5, -1.0, 2.0, 0.25])
+        c = bind(four_cycle, (np.eye(4) + np.roll(np.eye(4), 1, axis=0)) / 2)
+        trajectory = solve_ivp(Problem(four_cycle, c, np.arange(4.0), source=lambda t: g,
+                                       steps=40, tol=0.0))
+        for t in range(40):
+            row = step(trajectory.values[t], c, t, g)
+            assert row.tobytes() == trajectory.values[t + 1].tobytes()
+            out = np.empty(4)
+            assert step(trajectory.values[t], c, t, g, out) is out
+            assert out.tobytes() == row.tobytes()
 
 
 class TestSolveBvp:

@@ -202,6 +202,62 @@ def test_one_point():
     np.testing.assert_array_equal(limit_matrix(bind(g, np.ones((1, 1)))).limit, [[1.0]])
 
 
+def test_empty_space():
+    c = bind(DigitalSpace([], []), np.zeros((0, 0)))
+    assert (is_irreducible(c), is_primitive(c)) == (False, False)
+    assert limit_matrix(c).stationary_column is None
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 13])
+def test_directed_cycle_has_period_k(k):
+    """A directed k-cycle with no diagonal has period k; one more arc
+    closing a cycle of k - 1 arcs (a loop when k = 2) makes it primitive."""
+    mat = rotation(k)
+    c = bind(complete_space(k), mat)
+    assert (is_irreducible(c), is_primitive(c)) == (True, False)
+    assert ref.is_irreducible(mat) and not ref.is_primitive(mat)
+    mat[2 % k, 0] = 1.0
+    assert is_primitive(bind(complete_space(k), mat)) and ref.is_primitive(mat)
+
+
+@pytest.mark.parametrize("arcs", [
+    [(0, 1), (1, 2)],
+    [(1, 0), (2, 1)],
+    [(0, 1), (1, 0), (2, 3), (3, 2)],
+    [(0, 1), (1, 2), (2, 0), (2, 3)],
+    [(1, 2), (2, 1)],
+], ids=["0-reaches-all", "all-reach-0", "two-2-cycles", "3-cycle-and-arc-out", "0-isolated"])
+@pytest.mark.parametrize("diagonal", [0.0, 1.0])
+def test_reducible_supports(arcs, diagonal):
+    n = 1 + max(max(arc) for arc in arcs)
+    mat = np.eye(n) * diagonal
+    for i, j in arcs:
+        mat[i, j] = 1.0
+    c = bind(complete_space(n), mat)
+    assert not ref.is_irreducible(mat)
+    assert (is_irreducible(c), is_primitive(c)) == (False, False)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("name", ["patch_6x6", "cycle_10"])
+def test_verdicts_match_reference_on_larger_supports(name, seed):
+    """Random directed supports on the ball pairs of a 36-point plane
+    patch and of a 10-cycle (bipartite, so period 2 when no diagonal
+    entry is kept): each arc kept with a probability from 0.7 to 1."""
+    space = catalog.digital_plane_patch(6, 6).space if name == "patch_6x6" else cycle_space(10)
+    n = len(space.points)
+    rng = np.random.default_rng(seed)
+    rows, cols = np.divmod(space.ball_keys(), n)
+    keep = rng.random(len(rows)) < rng.uniform(0.7, 1.0)
+    if seed % 2:
+        keep &= rows != cols
+    mat = np.zeros((n, n))
+    mat[rows[keep], cols[keep]] = 1.0
+    c = bind(space, mat)
+    assert is_irreducible(c) == ref.is_irreducible(mat)
+    assert is_primitive(c) == ref.is_primitive(mat)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(["torus_16", "klein_bottle_16", "projective_plane_11",
                         "moebius_12", "sphere2_8", "s2_min"]),

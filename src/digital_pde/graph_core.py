@@ -13,6 +13,7 @@ graph, so results can be shared and memoized safely.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -167,13 +168,16 @@ class DigitalSpace:
         pairs (i, j) on the balls: the diagonal and both directions of
         every edge.  Built on first use."""
         if self._ball_keys is None:
-            # Sorted in Python: numpy's sort maps about 0.5 MB of code,
-            # 1.5% of a small run's peak memory.
-            n, index = len(self.points), self.index
-            ends = [(index[u], index[v]) for u, v in self.edges]
-            keys = [i * (n + 1) for i in range(n)]
-            keys += [i * n + j for i, j in ends] + [j * n + i for i, j in ends]
-            keys = np.array(sorted(keys), dtype=np.intp)
+            # Both directions of every edge, read from the adjacency, whose
+            # keys are the points in order: row i's neighbours follow its degree.
+            n, index = len(self.points), self._index
+            rims = list(self._adj.values())
+            degrees = np.fromiter(map(len, rims), dtype=np.intp, count=n)
+            ends = np.fromiter(map(index.__getitem__, chain.from_iterable(rims)),
+                               dtype=np.intp, count=2 * len(self.edges))
+            starts = np.arange(n, dtype=np.intp) * n
+            keys = np.concatenate((starts + np.arange(n), np.repeat(starts, degrees) + ends))
+            keys.sort()
             keys.flags.writeable = False
             object.__setattr__(self, "_ball_keys", keys)
         return self._ball_keys

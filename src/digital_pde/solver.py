@@ -320,8 +320,9 @@ class Problem:
 @dataclass(frozen=True)
 class Trajectory:
     """A run t = 0..T: row t of ``values`` is f(t), with its sum in
-    ``sums`` and its 1-norm in ``norms``.  ``converged`` says whether the
-    run stopped on the problem's ``tol`` rather than on its step cap."""
+    ``sums`` and its 1-norm in ``norms``, each array holding exactly its
+    T + 1 rows.  ``converged`` says whether the run stopped on the
+    problem's ``tol`` rather than on its step cap."""
 
     values: np.ndarray
     sums: np.ndarray
@@ -377,18 +378,26 @@ def _iterate(problem: Problem) -> Trajectory:
     c = problem.coefficients
     n = c.n
     rows = [(p, problem.space.index[p]) for p in problem.boundary_points or ()]
-    # Row t of the record is f(t), with its 1-norm at norms[t].  Both start
-    # small and double in place when a block would not fit, rather than
-    # being sized by the step cap, which may be far beyond memory for a run
-    # that converges early.  Resizing in place is safe because no view of
-    # them is used across a resize, and none is handed out until the run ends.
-    record = np.empty((min(problem.steps, 255) + 1, n))
-    norms = np.empty(len(record))
+    source, tol, steps = problem.source, problem.tol, problem.steps
+    # Row t of the record is f(t), with its sum at sums[t] and its 1-norm at
+    # norms[t].  A run with tol <= 0 ends only at its step cap or by
+    # raising, so it allocates its steps + 1 rows once.  Any other run, and
+    # one whose cap is beyond memory (MemoryError, or numpy's ValueError for
+    # a size beyond its range), starts small and doubles in place when a
+    # block would not fit, so a run that stops early is not sized by its
+    # cap.  Resizing in place is safe because no view of the buffers is used
+    # across a resize, and none is handed out until they are trimmed.
+    start = min(steps, 255) + 1
+    try:
+        record, sums, norms = _buffers(steps + 1 if tol <= 0 else start, n)
+    except (MemoryError, ValueError):
+        record, sums, norms = _buffers(start, n)
     record[0] = problem.initial
     if rows:
         _clamp(record[0], problem, rows, 0)
-    # 1-norms and changes by np.add.reduce over each row of a block: per
-    # row, the same sum as ndarray.sum, without its Python wrapper.
+    # Sums, 1-norms and changes by np.add.reduce over each row of a block:
+    # per row, the same sum as ndarray.sum, without its Python wrapper.
+    sums[0] = np.add.reduce(record[0])
     norms[0] = np.add.reduce(np.abs(record[0]))
     # Finite, so that a 1-norm that overflows is a blow-up, even at t = 0.
     guard = min(BLOWUP_FACTOR * max(norms[0], 1.0), sys.float_info.max)
@@ -396,7 +405,6 @@ def _iterate(problem: Problem) -> Trajectory:
         raise DivergenceError(f"norm {norms[0]:.3g} exceeded blow-up guard at step 0")
     block = max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * max(n, 1))))
     scratch = np.empty((block, n))
-    source, tol, steps = problem.source, problem.tol, problem.steps
     converged, t = False, 0  # rows 0..t are recorded and checked
     while t < steps:
         end = min(t + block, steps)
@@ -404,8 +412,8 @@ def _iterate(problem: Problem) -> Trajectory:
             size = 2 * len(record)
             while size <= end:
                 size *= 2
-            record.resize((size, n), refcheck=False)
-            norms.resize(size, refcheck=False)
+            for buffer in (record, sums, norms):
+                buffer.resize((size,) + buffer.shape[1:], refcheck=False)
         # Rows t+1..end, each product written into its record row.  What
         # source, boundary_values or a rule raises past the step that ends
         # the run is dropped: the run's outcome is that step's.
@@ -419,6 +427,7 @@ def _iterate(problem: Problem) -> Trajectory:
         except Exception as exc:  # re-raised below unless the run stopped before step s + 1
             error, end = exc, s
         k = end - t
+        np.add.reduce(record[t + 1:end + 1], axis=1, out=sums[t + 1:end + 1])
         norm = np.add.reduce(np.abs(record[t + 1:end + 1], scratch[:k]), axis=1,
                              out=norms[t + 1:end + 1])
         over = np.flatnonzero(~(norm <= guard))
@@ -436,8 +445,15 @@ def _iterate(problem: Problem) -> Trajectory:
         if error is not None:
             raise error
         t = end
-    values = record[:t + 1]
-    return Trajectory(values, values.sum(axis=1), norms[:t + 1], converged)
+    # Trimmed in place to the rows used, so a trajectory holds no more.
+    for buffer in (record, sums, norms):
+        buffer.resize((t + 1,) + buffer.shape[1:], refcheck=False)
+    return Trajectory(record, sums, norms, converged)
+
+
+def _buffers(size: int, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A run's record of ``size`` rows of n values, and its sums and norms."""
+    return np.empty((size, n)), np.empty(size), np.empty(size)
 
 
 def solve_ivp(problem: Problem) -> Trajectory:

@@ -1,6 +1,6 @@
 import pytest
 
-from digital_pde import catalog
+from digital_pde import catalog, solver
 from digital_pde.graph_core import DigitalSpace, cycle_space, path_space
 from digital_pde.topology import minimal_sphere
 
@@ -53,3 +53,11 @@ def projective():
 @pytest.fixture(scope="session")
 def moebius():
     return catalog.space("moebius_12")
+
+
+@pytest.fixture(params=["bincount", "slots"])
+def kernel(request, monkeypatch):
+    """The step product: ``np.bincount``'s, or the slot-major one, which
+    ``SLOT_MIN_POINTS`` = 1 selects even on few points."""
+    monkeypatch.setattr(solver, "SLOT_MIN_POINTS", 10**9 if request.param == "bincount" else 1)
+    return request.param

@@ -1,5 +1,5 @@
-"""Reference oracle for the solver's coefficient fills, support check,
-support-graph verdicts, limit and time loop.
+"""Reference oracle for the ball keys, the solver's coefficient fills,
+support check, support-graph verdicts, limit and time loop.
 
 The matrix-power definitions, applied directly: a support is primitive
 when some power of its 0/1 pattern is entrywise positive, checked for
@@ -9,7 +9,8 @@ one (t, values) state per step and recomputes convergence from the last
 two states; it takes each product from ``digital_pde.solver.step``,
 which ``test_stored_pairs_match_dense_reference`` checks against the
 dense product.  The coefficient fills are the per-entry loops that each
-caller of the solver once ran on its own n x n array.  Dense and slow;
+caller of the solver once ran on its own n x n array, and the ball keys
+are sorted as Python ints, as the space once sorted them.  Dense and slow;
 the tests compare ``digital_pde`` against it on small inputs.
 """
 
@@ -21,6 +22,17 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from digital_pde.solver import step
+
+
+def ball_keys(space) -> np.ndarray:
+    """The flat keys i * n + j of the ball pairs, built and sorted as
+    Python ints: the diagonal, then both directions of every edge."""
+    n = len(space.points)
+    index = {p: i for i, p in enumerate(space.points)}
+    ends = [(index[u], index[v]) for u, v in space.edges]
+    keys = [i * (n + 1) for i in range(n)]
+    keys += [i * n + j for i, j in ends] + [j * n + i for i, j in ends]
+    return np.array(sorted(keys), dtype=np.intp)
 
 
 def uniform_matrix(space, offdiag: float, diag) -> np.ndarray:

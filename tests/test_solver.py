@@ -374,8 +374,7 @@ class TestSolveIvp:
     def test_step_cap_far_beyond_memory(self, klein):
         # 10**12 rows of 16 values would not fit in memory; the run stops
         # on tol long before.  The record and the norms start at 256 rows
-        # and double, so they hold fewer than twice the rows used plus
-        # one block of look-ahead.
+        # and double, and are trimmed to the rows used when the run ends.
         f0 = np.zeros(16)
         f0[0] = 16.0
         slow = uniform_coefficients(klein, 0.01, 0.92)
@@ -384,8 +383,8 @@ class TestSolveIvp:
         assert trajectory.converged and 512 < rows < 10**4
         np.testing.assert_array_equal(
             trajectory.values, solve_ivp(Problem(klein, slow, f0, steps=10**4)).values)
-        for kept in (trajectory.values.base, trajectory.norms.base):
-            assert len(kept) < 2 * (rows + solver.BLOCK_ROWS)
+        for kept in (trajectory.values, trajectory.sums, trajectory.norms):
+            assert held(kept) == rows
 
     def test_divergence_guard(self, four_cycle):
         mat = np.eye(4) * 2.0  # doubles mass each step
@@ -452,6 +451,95 @@ def block(request, monkeypatch):
     one, so that stops fall on both sides of more boundaries."""
     monkeypatch.setattr(solver, "BLOCK_ROWS", request.param)
     return request.param
+
+
+def held(array):
+    """The rows of the buffer that holds ``array``: its own, or its base's."""
+    return len(array if array.base is None else array.base)
+
+
+@pytest.fixture
+def allocations(monkeypatch):
+    """The sizes, in rows, of the records that runs ask ``solver._buffers``
+    for, a refused one included."""
+    sizes, buffers = [], solver._buffers
+    monkeypatch.setattr(solver, "_buffers", lambda size, n: sizes.append(size) or buffers(size, n))
+    return sizes
+
+
+class TestRecord:
+    """A run with tol <= 0 allocates its steps + 1 rows once; a run that
+    may stop early starts at 256 rows and doubles.  Every run returns
+    buffers of exactly its rows, equal bit for bit to a step-by-step replay."""
+
+    @staticmethod
+    def point_mass(klein, coefficients, **fields):
+        f0 = np.zeros(16)
+        f0[0] = 16.0
+        return Problem(klein, coefficients, f0, **fields)
+
+    @staticmethod
+    def assert_holds_its_rows(trajectory, rows):
+        assert len(trajectory.values) == rows
+        for array in (trajectory.values, trajectory.sums, trajectory.norms):
+            assert held(array) == rows
+
+    @pytest.mark.parametrize("steps", [0, 1, 4, 5, 6, 31, 32, 33, 255, 256, 600])
+    def test_fixed_length_run_allocates_its_rows_once(self, klein, klein_coeffs, block, kernel,
+                                                      allocations, steps):
+        problem = self.point_mass(klein, klein_coeffs, steps=steps, tol=0.0)
+        trajectory = solve_ivp(problem)
+        assert allocations == [steps + 1]
+        self.assert_holds_its_rows(trajectory, steps + 1)
+        assert_matches_reference(trajectory, problem)
+
+    def test_fixed_length_bvp_allocates_its_rows_once(self, projective, block, kernel,
+                                                      allocations):
+        coeffs = uniform_coefficients(
+            projective, 0.1, {p: 1.0 - 0.1 * projective.degree(p) for p in projective.points})
+        problem = Problem(projective, coeffs, np.arange(11.0), boundary_points=[1, 11],
+                          boundary_values=lambda t: {1: 1.0, 11: 4.0 + t}, steps=300, tol=0.0)
+        trajectory = solve_bvp(problem)
+        assert allocations == [301]
+        self.assert_holds_its_rows(trajectory, 301)
+        assert_matches_reference(trajectory, problem)
+
+    @pytest.mark.parametrize("tol, rows", [(1e-1, 60), (1e-2, 174), (1e-4, 402), (1e-8, 858)])
+    def test_run_stopping_on_tol_holds_its_rows(self, klein, block, kernel, allocations,
+                                                tol, rows):
+        problem = self.point_mass(klein, uniform_coefficients(klein, 0.01, 0.92),
+                                  steps=10**4, tol=tol)
+        trajectory = solve_ivp(problem)
+        assert trajectory.converged and allocations == [256]
+        self.assert_holds_its_rows(trajectory, rows)
+        assert_matches_reference(trajectory, problem)
+
+    @pytest.mark.parametrize("steps", [5, 300, 600])
+    def test_run_with_tol_reaching_its_cap_holds_its_rows(self, klein, block, kernel,
+                                                          allocations, steps):
+        problem = self.point_mass(klein, uniform_coefficients(klein, 0.01, 0.92),
+                                  steps=steps, tol=1e-12)
+        trajectory = solve_ivp(problem)
+        assert not trajectory.converged and allocations == [min(steps, 255) + 1]
+        self.assert_holds_its_rows(trajectory, steps + 1)
+        assert_matches_reference(trajectory, problem)
+
+    # numpy refuses 10**15 + 1 rows of 4 values with a MemoryError (28 PiB)
+    # and 10**18 + 1 rows with a ValueError (beyond its largest size).
+    @pytest.mark.parametrize("cap", [10**15, 10**18], ids=["beyond-memory", "beyond-numpy"])
+    def test_cap_beyond_memory_raises_the_same_divergence(self, four_cycle, block,
+                                                          allocations, cap):
+        growing = bind(four_cycle, np.eye(4) * 2.0)  # doubles the mass each step
+
+        def divergence(steps):
+            with pytest.raises(DivergenceError) as raised:
+                solve_ivp(Problem(four_cycle, growing, np.ones(4), steps=steps, tol=0.0))
+            return str(raised.value)
+
+        expected = divergence(100)
+        assert expected == "norm 4.19e+06 exceeded blow-up guard at step 20"
+        assert divergence(cap) == expected
+        assert allocations == [101, cap + 1, 256]
 
 
 class TestBlockedRun:

@@ -93,6 +93,36 @@ def test_uniform_coefficients_match_reference(name):
                              ref.uniform_matrix(space, offdiag, d))
 
 
+def assert_ball_keys_match_reference(space):
+    """The keys are the Python-sorted keys, read-only, and built once."""
+    keys = space.ball_keys()
+    assert_bitwise_equal(keys, ref.ball_keys(space))
+    assert not keys.flags.writeable and space.ball_keys() is keys
+
+
+BALL_KEY_PATCHES = {**PLANE_PATCHES, "patch_31x17": (31, 17)}
+
+
+@pytest.mark.parametrize("name", catalog.names() + list(BALL_KEY_PATCHES))
+def test_ball_keys_match_reference(name):
+    size = BALL_KEY_PATCHES.get(name)
+    space = catalog.digital_plane_patch(*size).space if size else catalog.space(name)
+    assert_ball_keys_match_reference(space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ball_keys_match_reference_on_random_graphs(data):
+    """Distinct labels in any order, negative ones too, and any edges
+    among them, isolated points and the empty space included."""
+    points = data.draw(st.lists(st.integers(-50, 50), unique=True, max_size=24))
+    edges = []
+    if points:
+        pairs = st.tuples(st.sampled_from(points), st.sampled_from(points))
+        edges = [e for e in data.draw(st.lists(pairs, max_size=80)) if e[0] != e[1]]
+    assert_ball_keys_match_reference(DigitalSpace(points, edges))
+
+
 def test_network_coefficients_match_reference():
     c = experiments.network_coefficients()
     assert_bitwise_equal(c.toarray(), ref.network_matrix(

@@ -21,12 +21,6 @@ from digital_pde.solver import (
 from digital_pde.topology import cone
 
 
-@pytest.fixture(params=["bincount", "slots"])
-def kernel(request, monkeypatch):
-    monkeypatch.setattr(solver, "SLOT_MIN_POINTS", 10**9 if request.param == "bincount" else 1)
-    return request.param
-
-
 def row_pairs(space, weight):
     """Each row's pairs {column: coefficient}, read from the edges:
     ``weight(i, j)`` for the diagonal and both directions of each edge,

@@ -16,6 +16,14 @@ Coefficient entries are destination-major: [p, k, v] adds weight v for
 the flow from source k into destination p.  A ``diag_map`` key names the
 point p only when it is ``str(p)``: "01", " 1" and "1_0" name no point.
 
+The loader checks only JSON types and shapes.  Each coefficient value is
+checked once, by the builder that takes it (``bind_entries`` or
+``uniform_coefficients``), and each value of the problem by ``Problem``;
+their refusals are reported under the JSON field's name, so a file and a
+``Problem`` built in Python are held to the same rules.  Only the values
+the loader places itself (``initial.value``, ``initial.rest`` and
+``boundary.values``) are checked here, by ``finite_number``.
+
 Trajectory CSV: header ``t,f_1,...,f_n,S,norm1``, one row per step,
 floats printed with repr-stable %.12g so identical runs produce
 identical bytes.
@@ -32,8 +40,10 @@ from .graph_core import DigitalSpace, parse_label
 from .solver import (CoefficientMatrix, Problem, SupportError, Trajectory, bind_entries,
                      finite_number, uniform_coefficients)
 
-# The library's argument names, as the JSON fields they are read from
-_JSON_FIELDS = {"entries": "coefficients.entries", "diag": "coefficients.diag_map",
+# The library's argument names, as the JSON fields they are read from; a
+# ``diag`` refusal names the form the file used, ``diag`` or ``diag_map``.
+_JSON_FIELDS = {"entries": "coefficients.entries", "offdiag": "coefficients.uniform_offdiag",
+                "diag": "coefficients.diag", "diag_map": "coefficients.diag_map",
                 "boundary_points": "boundary.points"}
 
 
@@ -61,30 +71,23 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
     if "entries" in spec:
         if not isinstance(spec["entries"], list):
             raise ProblemFormatError("coefficients.entries: expected a list of [p, k, value]")
-        entries = []
-        for item in spec["entries"]:
-            try:
-                p, k, v = item
-            except (TypeError, ValueError):
-                raise ProblemFormatError(f"coefficients.entries: bad entry {item!r}")
-            entries.append((p, k, finite_number(v, "coefficients.entries")))
         try:
-            return bind_entries(space, entries)
+            return bind_entries(space, spec["entries"])
         except SupportError as exc:  # names a pair, not an argument
             raise ProblemFormatError(f"coefficients.entries: {exc}")
     if "uniform_offdiag" in spec:
-        offdiag = finite_number(spec["uniform_offdiag"], "coefficients.uniform_offdiag")
         if "diag_map" in spec:
             if not isinstance(spec["diag_map"], dict):
                 raise ProblemFormatError("coefficients.diag_map: expected an object")
-            diag = {parse_label(p, "coefficients.diag_map"):
-                    finite_number(v, "coefficients.diag_map")
+            diag = {parse_label(p, "coefficients.diag_map"): v
                     for p, v in spec["diag_map"].items()}
         elif "diag" in spec:
-            diag = finite_number(spec["diag"], "coefficients.diag")
+            diag = spec["diag"]
+            if isinstance(diag, dict):  # an object here is not a diag map
+                raise ProblemFormatError(f"coefficients.diag: expected a number, got {diag!r}")
         else:
             raise ProblemFormatError("coefficients: uniform_offdiag needs diag or diag_map")
-        return uniform_coefficients(space, offdiag, diag)
+        return uniform_coefficients(space, spec["uniform_offdiag"], diag)
     raise ProblemFormatError("coefficients: expected entries or uniform_offdiag form")
 
 
@@ -127,6 +130,8 @@ def problem_from_json_dict(d: dict) -> Problem:
         problem = Problem(space, coeffs, initial, **fields)
     except ValueError as exc:  # a library refusal starts with its argument's name
         name, sep, rest = str(exc).partition(": ")
+        if name == "diag" and "diag_map" in d["coefficients"]:
+            name = "diag_map"
         raise ProblemFormatError(_JSON_FIELDS.get(name, name) + sep + rest)
     if boundary:
         clamp.update(zip(points, values))

@@ -15,6 +15,7 @@ the directed network does not.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
-from .graph_core import DigitalSpace
+from .graph_core import DigitalSpace, is_label
 
 DIFFUSION_TOL = 1e-12
 DEFAULT_TRAJECTORY_TOL = 1e-10
@@ -57,13 +58,63 @@ def _is_number(value) -> bool:
 
 
 def finite_number(value, name: str) -> float:
-    """``value`` as a finite float, or a ValueError naming the field."""
+    """``value`` as a finite float, or a ValueError naming the field.  An
+    integer too large for a float is not finite."""
     if not _is_number(value):
         raise ValueError(f"{name}: expected a number, got {value!r}")
-    x = float(value)
-    if not np.isfinite(x):
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
     return x
+
+
+def _reals(values, name: str, copy: bool = False) -> np.ndarray:
+    """``values`` as a float array, a new one if ``copy`` is set, refused
+    with a ValueError naming the argument unless each value is a real
+    number, in ``finite_number``'s wording; an integer too large for a
+    float is refused as not finite.  An array of integers or floats passes
+    on its dtype alone, and a plain float skips the type test."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for x in np.asarray(values, dtype=object).flat:
+            if type(x) is not float and not _is_number(x):
+                raise ValueError(f"{name}: expected a number, got {x!r}")
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=float)
+    except OverflowError:
+        for x in np.asarray(values, dtype=object).flat:
+            try:
+                float(x)
+            except OverflowError:
+                raise ValueError(f"{name}: expected a finite number, got {x!r}") from None
+        raise
+
+
+def _finite_reals(values: list, name: str) -> np.ndarray:
+    """The list ``values`` as a float array, each value checked as
+    ``finite_number`` checks it, by ``_reals``' one pass over the types
+    and one ``np.isfinite``."""
+    array = _reals(values, name)
+    bad = ~np.isfinite(array)
+    if bad.any():
+        raise ValueError(f"{name}: expected a finite number, got {values[bad.argmax()]!r}")
+    return array
+
+
+def _positions(values, name: str, n: int) -> np.ndarray:
+    """``values`` as a new intp array, refused with a ValueError naming the
+    argument unless each value is an integer (not a bool) that fits one.
+    An integer array passes on its dtype alone."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        for x in np.asarray(values, dtype=object).flat:
+            if not is_label(x):  # an int or a NumPy integer, not a bool
+                raise ValueError(f"{name}: expected an integer, got {x!r}")
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:
+        raise ValueError(f"{name}: a position is out of range for {n} points") from None
 
 
 @dataclass(frozen=True)
@@ -73,7 +124,9 @@ class CoefficientMatrix:
     C(0) is stored as its nonzero entries, one per pair, in row-major
     order: C[rows[i], cols[i]] == data[i], and every other entry is zero.
     The constructor is the one check of coefficients: each value must be
-    finite and each pair on the balls of ``space``.  It makes the three
+    finite and each pair on the balls of ``space``; ``rows`` and ``cols``
+    must hold integers and ``data`` real numbers, refused naming the
+    argument.  It makes the three
     arrays read-only and the matrix frozen, so they stay as checked and
     the product's layout, built from them on first use, stays theirs.
     Rows and columns follow ``space.index``.  Build one with ``bind`` or
@@ -96,12 +149,15 @@ class CoefficientMatrix:
 
     def __post_init__(self):
         n, points = self.n, self.space.points
-        rows = np.array(self.rows, dtype=np.intp)
-        cols = np.array(self.cols, dtype=np.intp)
-        data = np.array(self.data, dtype=float)
+        rows, cols = _positions(self.rows, "rows", n), _positions(self.cols, "cols", n)
+        data = _reals(self.data, "data", copy=True)
         if not rows.shape == cols.shape == data.shape == (data.size,):
             raise ValueError("rows, cols and data must be 1-D and of one length")
-        keys = np.ravel_multi_index((rows, cols), (n, n))  # refuses an index out of range
+        try:
+            keys = np.ravel_multi_index((rows, cols), (n, n))
+        except ValueError:  # a position out of range
+            name = "rows" if ((rows < 0) | (rows >= n)).any() else "cols"
+            raise ValueError(f"{name}: a position is out of range for {n} points") from None
         if not ((keys[1:] > keys[:-1]).all() and data.all()):
             raise ValueError("rows, cols and data must list nonzero entries, "
                              "one per pair, in row-major order")
@@ -198,12 +254,13 @@ def bind(space: DigitalSpace, matrix: np.ndarray,
     """Validate the n x n array ``matrix`` against the space and bind its
     nonzero entries.
 
-    Rows/columns follow the point order of ``space``.  Directed
-    support is fine (C[p,k] != C[k,p]); support outside the ball
+    Rows/columns follow the point order of ``space``.  Each entry must be
+    a real number (not a bool or a string), refused naming ``matrix``.
+    Directed support is fine (C[p,k] != C[k,p]); support outside the ball
     structure is rejected naming the offending pair.
     """
     n = len(space.points)
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = _reals(matrix, "matrix")
     if matrix.shape != (n, n):
         raise ValueError(f"matrix shape {matrix.shape} does not match {n} points")
     flat = matrix.ravel()
@@ -216,35 +273,53 @@ def bind_entries(space: DigitalSpace,
                  entries: Iterable[Tuple[int, int, float]]) -> CoefficientMatrix:
     """Bind the coefficients given as ``(p, k, v)`` triples: v weights
     the flow from source k into destination p.  Pairs not named are
-    zero, and a later triple for the same pair wins.  Support is
+    zero, and a later triple for the same pair wins.  Each entry is
+    unpacked and its v checked as ``finite_number`` checks it before any
+    point is looked up; either refusal names ``entries``.  Support is
     checked as in ``bind``; a point that is not an integer label of the
     space (``True``, ``1.0``, 99) raises UnknownPointError."""
-    entries, n = list(entries), len(space.points)
-    ps, ks, values = zip(*entries, strict=True) if entries else ((), (), ())
+    n = len(space.points)
+    ps, ks, values = [], [], []
+    for entry in entries:
+        try:
+            p, k, v = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"entries: bad entry {entry!r}") from None
+        ps.append(p)
+        ks.append(k)
+        values.append(finite_number(v, "entries"))
     rows, cols = space.positions(ps, "entries"), space.positions(ks, "entries")
     cells = {i * n + j: v for i, j, v in zip(rows, cols, values)}  # a later triple wins
     keys = sorted(key for key, v in cells.items() if v != 0)
     rows, cols = np.divmod(np.array(keys, dtype=np.intp), n)
     return CoefficientMatrix(space=space, rows=rows, cols=cols,
-                             data=[cells[key] for key in keys])
+                             data=np.array([cells[key] for key in keys]))
 
 
 def uniform_coefficients(space: DigitalSpace, offdiag: float,
                          diag: Union[float, Dict[int, float]]) -> CoefficientMatrix:
-    """Same weight on every edge, per-point (or constant) diagonal.  A
-    ``diag`` map must give a value for exactly the points of the space,
-    each keyed by its integer label."""
+    """Same weight on every edge, per-point (or constant) diagonal.  Each
+    weight is checked as ``finite_number`` checks it, naming ``offdiag``
+    or ``diag``.  A ``diag`` map must give a value for exactly the points
+    of the space, each keyed by its integer label; its values are checked
+    before its points are looked up."""
     n = len(space.points)
+    # Slot i holds the diagonal of position i, and slot n offdiag.
+    weights = np.empty(n + 1)
+    weights[n] = finite_number(offdiag, "offdiag")
     if isinstance(diag, dict):
-        space.positions(diag, "diag")
+        values = _finite_reals(list(diag.values()), "diag")
+        positions = space.positions(diag, "diag")
         if len(diag) != n:
             p = next(p for p in space.points if p not in diag)
             raise ValueError(f"diag: point {p!r} has no value")
-    diag = [diag[p] for p in space.points] if isinstance(diag, dict) else [diag] * n
-    # Its pairs are the ball pairs, ascending: the diagonal reads diag, and
-    # every other pair slot n, which holds offdiag.
+        weights[positions] = values
+    else:
+        weights[:n] = finite_number(diag, "diag")
+    # Its pairs are the ball pairs, ascending: the diagonal reads its slot,
+    # and every other pair slot n.
     rows, cols = np.divmod(space.ball_keys(), n)
-    data = np.array(diag + [offdiag], dtype=float)[np.where(rows == cols, rows, n)]
+    data = weights[np.where(rows == cols, rows, n)]
     kept = data != 0
     return CoefficientMatrix(space=space, rows=rows[kept], cols=cols[kept], data=data[kept])
 
@@ -364,7 +439,11 @@ def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
         v = clamps[p]
         if type(v) is not float and not _is_number(v):  # plain floats skip the check
             raise ValueError(f"boundary_values({t}): expected a number, got {v!r}")
-        values[i] = v
+        try:
+            values[i] = v
+        except OverflowError:  # an integer too large for a float
+            raise ValueError(f"boundary_values({t}): expected a finite number, "
+                             f"got {v!r}") from None
     if len(clamps) != len(rows):
         other = next(p for p in clamps if p not in problem.boundary_points)
         raise ValueError(f"boundary_values({t}) names point {other}, not a boundary point")
@@ -485,6 +564,8 @@ def stability_bound_check(c: CoefficientMatrix) -> bool:
     A failing check says nothing about divergence; diffusion matrices
     routinely fail it and still converge.
     """
+    if c.n == 0:  # no entry to break the bound
+        return True
     return float(np.abs(c.data).max(initial=0.0)) < 1.0 / c.n
 
 
@@ -610,12 +691,9 @@ def _pinned_fixed_column(c: CoefficientMatrix) -> np.ndarray:
 
 def _field(c: CoefficientMatrix, f, name: str, finite: bool = False) -> np.ndarray:
     """``f`` as a float array, refused with a ValueError naming the field
-    unless it holds one real number per point, finite if ``finite`` is set."""
-    if not (isinstance(f, np.ndarray) and f.dtype.kind in "iuf"):
-        for x in np.asarray(f, dtype=object).flat:
-            if not _is_number(x):
-                raise ValueError(f"{name}: expected a number, got {x!r}")
-    f = np.asarray(f, dtype=float)
+    unless it holds one real number per point (see ``_reals``), finite if
+    ``finite`` is set."""
+    f = _reals(f, name)
     if f.shape != (c.n,):
         raise ValueError(f"{name}: expected shape ({c.n},), got {f.shape}")
     if finite and not np.isfinite(f).all():

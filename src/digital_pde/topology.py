@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .graph_core import DigitalSpace, UnknownEdgeError, join
+from .graph_core import DigitalSpace, UnknownEdgeError, is_label, join
 from .invariants import chi_counter
 
 
@@ -405,8 +405,17 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
 # spheres, manifolds, surfaces
 # ---------------------------------------------------------------------------
 
+def _dimension(n, kind: str) -> int:
+    """``n`` as an int, or a ValueError naming the dimension unless it is
+    an int or a NumPy integer, not a bool (``is_label``'s rule)."""
+    if not is_label(n):
+        raise ValueError(f"{kind} dimension must be an integer, got {n!r}")
+    return int(n)
+
+
 def _report(g: DigitalSpace, n: int, kind: str) -> ManifoldReport:
     least = 1 if kind == "manifold" else 0
+    n = _dimension(n, kind)
     if n < least:
         raise ValueError(f"{kind} dimension must be >= {least}")
     found = _Verdicts(g).failure(frozenset(g.points), n, kind)
@@ -442,6 +451,7 @@ def zero_sphere() -> DigitalSpace:
 def minimal_sphere(n: int) -> DigitalSpace:
     """Join of (n+1) copies of the 0-sphere: complete (n+1)-partite
     graph with parts of size two, 2(n+1) points total."""
+    n = _dimension(n, "sphere")
     if n < 0:
         raise ValueError("sphere dimension must be >= 0")
     pts = list(range(1, 2 * (n + 1) + 1))

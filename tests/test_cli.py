@@ -334,6 +334,19 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert message in result.output
 
+    @pytest.mark.parametrize("override, field", [
+        ({"coefficients": {"uniform_offdiag": 10**400, "diag": 0.4}},
+         "coefficients.uniform_offdiag"),
+        ({"initial": {"point": 1, "value": 10**400}}, "initial.value"),
+        ({"initial": [10**400] + [0.0] * 15}, "initial"),
+    ], ids=["uniform-offdiag", "initial-value", "initial-list"])
+    def test_integer_too_large_for_a_float_exit_2(self, runner, tmp_path, override, field):
+        # It printed OverflowError's traceback and exited 1.
+        result = runner.invoke(main, ["solve", klein_problem(tmp_path, **override)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"error: {field}: expected a finite number, got {10**400}"]
+
     def test_divergence_exit_1(self, runner, tmp_path):
         problem = klein_problem(
             tmp_path, coefficients={"uniform_offdiag": 0.5, "diag": 2.0})

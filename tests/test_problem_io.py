@@ -3,14 +3,19 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from digital_pde import catalog
 from digital_pde.problem_io import (
     ProblemFormatError,
     problem_from_json,
     problem_from_json_dict,
     trajectory_csv,
 )
-from digital_pde.solver import solve_ivp
+from digital_pde.solver import bind_entries, solve_ivp, uniform_coefficients
+
+HUGE = 10**400  # an integer too large for a float
 
 
 def klein_problem_dict(**overrides):
@@ -204,6 +209,119 @@ class TestRejectsBadNumbers:
         with pytest.raises(ProblemFormatError, match="boundary.points: repeated"):
             problem_from_json_dict(klein_problem_dict(
                 boundary={"points": [1, 1], "values": [1, 5]}))
+
+
+class TestCoefficientMessages:
+    """A file with one faulty coefficient gets the message the loader gave
+    when it checked coefficient values itself, byte for byte."""
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ({"entries": [[1, 1, 0.5], [1, 2]]}, "coefficients.entries: bad entry [1, 2]"),
+        ({"entries": [[1, 1, 0.5], 7]}, "coefficients.entries: bad entry 7"),
+        ({"entries": [[1, 1, True]]}, "coefficients.entries: expected a number, got True"),
+        ({"entries": [[1, 1, "0.5"]]}, "coefficients.entries: expected a number, got '0.5'"),
+        ({"entries": [[1, 1, None]]}, "coefficients.entries: expected a number, got None"),
+        ({"entries": [[1, 1, float("nan")]]},
+         "coefficients.entries: expected a finite number, got nan"),
+        ({"entries": [[1, 1, 0.5], [1, 9, 0.5]]},
+         "coefficients.entries: coefficient (1,9) is nonzero but the points are not adjacent"),
+        ({"uniform_offdiag": True, "diag": 0.4},
+         "coefficients.uniform_offdiag: expected a number, got True"),
+        ({"uniform_offdiag": float("inf"), "diag": 0.4},
+         "coefficients.uniform_offdiag: expected a finite number, got inf"),
+        ({"uniform_offdiag": [0.1], "diag": 0.4},
+         "coefficients.uniform_offdiag: expected a number, got [0.1]"),
+        ({"uniform_offdiag": 0.1, "diag": None}, "coefficients.diag: expected a number, got None"),
+        ({"uniform_offdiag": 0.1, "diag": "0.4"},
+         "coefficients.diag: expected a number, got '0.4'"),
+        ({"uniform_offdiag": 0.1, "diag": {"1": 0.4}},
+         "coefficients.diag: expected a number, got {'1': 0.4}"),
+        ({"uniform_offdiag": 0.1, "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"5": True})},
+         "coefficients.diag_map: expected a number, got True"),
+        ({"uniform_offdiag": 0.1,
+          "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"5": float("-inf")})},
+         "coefficients.diag_map: expected a finite number, got -inf"),
+        ({"uniform_offdiag": 0.1, "diag_map": {str(p): 0.4 for p in range(1, 16)}},
+         "coefficients.diag_map: point 16 has no value"),
+    ], ids=["short-entry", "number-entry", "entry-true", "entry-str", "entry-null", "entry-nan",
+            "entry-off-the-balls", "offdiag-true", "offdiag-inf", "offdiag-list", "diag-null",
+            "diag-str", "diag-object", "diag-map-true", "diag-map-inf", "diag-map-missing"])
+    def test_message(self, coefficients, message):
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_json_dict(klein_problem_dict(coefficients=coefficients))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("coefficients, field, value", [
+        ({"entries": [[1, 1, HUGE]]}, "coefficients.entries", HUGE),
+        ({"uniform_offdiag": HUGE, "diag": 0.4}, "coefficients.uniform_offdiag", HUGE),
+        ({"uniform_offdiag": 0.1, "diag": -HUGE}, "coefficients.diag", -HUGE),
+        ({"uniform_offdiag": 0.1, "diag_map": {str(p): HUGE for p in range(1, 17)}},
+         "coefficients.diag_map", HUGE),
+    ], ids=["entries", "uniform_offdiag", "diag", "diag_map"])
+    def test_integer_too_large_for_a_float_refused(self, coefficients, field, value):
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_json_dict(klein_problem_dict(coefficients=coefficients))
+        assert str(info.value) == f"{field}: expected a finite number, got {value}"
+
+    @pytest.mark.parametrize("initial, field", [
+        ({"point": 1, "value": HUGE}, "initial.value"),
+        ({"point": 1, "value": 1.0, "rest": HUGE}, "initial.rest"),
+        ([HUGE] + [0.0] * 15, "initial"),
+    ])
+    def test_initial_too_large_for_a_float_refused(self, initial, field):
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_json_dict(klein_problem_dict(initial=initial))
+        assert str(info.value) == f"{field}: expected a finite number, got {HUGE}"
+
+
+# One value of every kind a caller may pass as a coefficient
+COEFFICIENT_VALUES = st.one_of(
+    st.integers(), st.floats(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.sampled_from([True, False, "0.5", None, 1j, float("nan"), float("inf"), float("-inf"),
+                     HUGE, -HUGE, np.True_]))
+
+# form: (its JSON field, the library argument, the coefficients of a file
+# holding v there, the matching Python call)
+COEFFICIENT_FORMS = {
+    "entries": ("coefficients.entries", "entries",
+                lambda v: {"entries": [[1, 1, v], [2, 2, 0.5]]},
+                lambda g, v: bind_entries(g, [[1, 1, v], [2, 2, 0.5]])),
+    "uniform_offdiag": ("coefficients.uniform_offdiag", "offdiag",
+                        lambda v: {"uniform_offdiag": v, "diag": 0.4},
+                        lambda g, v: uniform_coefficients(g, v, 0.4)),
+    "diag": ("coefficients.diag", "diag",
+             lambda v: {"uniform_offdiag": 0.1, "diag": v},
+             lambda g, v: uniform_coefficients(g, 0.1, v)),
+    "diag_map": ("coefficients.diag_map", "diag",
+                 lambda v: {"uniform_offdiag": 0.1,
+                            "diag_map": {str(p): v if p == 3 else 0.4 for p in range(1, 17)}},
+                 lambda g, v: uniform_coefficients(
+                     g, 0.1, {p: v if p == 3 else 0.4 for p in range(1, 17)})),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=st.sampled_from(sorted(COEFFICIENT_FORMS)), value=COEFFICIENT_VALUES)
+def test_a_file_and_a_python_call_hold_a_coefficient_to_one_rule(form, value):
+    """Both accept and bind the same bits, or both refuse with one text,
+    the file's naming the JSON field where the call names its argument."""
+    field, argument, coefficients, call = COEFFICIENT_FORMS[form]
+    space = catalog.space("klein_bottle_16")
+    try:
+        built = call(space, value)
+    except ValueError as exc:
+        refusal = str(exc)
+        assert refusal.startswith(f"{argument}: ")
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_json_dict(klein_problem_dict(coefficients=coefficients(value)))
+        assert str(info.value) == field + refusal[len(argument):]
+    else:
+        loaded = problem_from_json_dict(
+            klein_problem_dict(coefficients=coefficients(value))).coefficients
+        for name in ("rows", "cols", "data"):
+            assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
 
 
 class TestRejectsMalformedFields:

@@ -112,13 +112,118 @@ class TestBind:
         mat[0, 0] = np.nan
         with pytest.raises(ValueError, match=r"\(1,1\) is nan"):
             bind(four_cycle, mat)
-        with pytest.raises(ValueError, match=r"\(1,2\) is inf"):
+        # The builders check their arguments first, and name them.
+        with pytest.raises(ValueError, match=r"^offdiag: expected a finite number, got inf$"):
             uniform_coefficients(four_cycle, np.inf, 0.4)
-        with pytest.raises(ValueError, match=r"\(2,1\) is -inf"):
+        with pytest.raises(ValueError, match=r"^entries: expected a finite number, got -inf$"):
             bind_entries(four_cycle, [(1, 1, 1.0), (2, 1, -np.inf)])
         c = bind(four_cycle, np.eye(4), rule=lambda t: bind(four_cycle, mat))
         with pytest.raises(ValueError, match=r"\(1,1\) is nan"):
             solve_ivp(Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0))
+
+
+# A value of each kind the number rule refuses, with the text it is refused with
+NOT_NUMBERS = [(True, "expected a number, got True"),
+               ("0.5", "expected a number, got '0.5'"),
+               (None, "expected a number, got None"),
+               (1j, "expected a number, got 1j"),
+               (10**400, f"expected a finite number, got {10**400}"),
+               (np.nan, "expected a finite number, got nan")]
+NOT_NUMBER_IDS = ["true", "str", "none", "complex", "huge-int", "nan"]
+
+
+class TestCoefficientArguments:
+    """Each builder checks its coefficient values by the number rule and
+    names the argument; no TypeError, OverflowError or zip() error escapes."""
+
+    @pytest.mark.parametrize("value, text", NOT_NUMBERS, ids=NOT_NUMBER_IDS)
+    @pytest.mark.parametrize("name, build", [
+        ("entries", lambda g, v: bind_entries(g, [(1, 1, 0.5), (1, 2, v)])),
+        ("offdiag", lambda g, v: uniform_coefficients(g, v, 0.5)),
+        ("diag", lambda g, v: uniform_coefficients(g, 0.25, v)),
+        ("diag", lambda g, v: uniform_coefficients(g, 0.25, {1: 0.5, 2: v, 3: 0.5, 4: 0.5})),
+    ], ids=["entries", "offdiag", "diag", "diag-map"])
+    def test_value_refused_naming_the_argument(self, four_cycle, name, build, value, text):
+        with pytest.raises(ValueError) as info:
+            build(four_cycle, value)
+        assert str(info.value) == f"{name}: {text}"
+
+    @pytest.mark.parametrize("entry", [(1, 2), [1, 2], (1, 2, 0.5, 0.5), 5, None])
+    def test_malformed_entry_refused(self, four_cycle, entry):
+        with pytest.raises(ValueError) as info:
+            bind_entries(four_cycle, [(1, 1, 0.5), entry])
+        assert str(info.value) == f"entries: bad entry {entry!r}"
+
+    def test_entry_values_checked_before_points(self, four_cycle):
+        with pytest.raises(ValueError, match="^entries: expected a number, got True$"):
+            bind_entries(four_cycle, [(99, 1, 0.5), (1, 1, True)])
+        with pytest.raises(ValueError, match="^diag: expected a number, got None$"):
+            uniform_coefficients(four_cycle, 0.25, {99: 0.5, 2: None})
+
+    def test_diag_map_refusal_names_its_first_bad_value_in_map_order(self, four_cycle):
+        with pytest.raises(ValueError, match="^diag: expected a finite number, got inf$"):
+            uniform_coefficients(four_cycle, 0.25, {4: np.inf, 1: 0.5, 2: np.nan, 3: 0.5})
+
+    @pytest.mark.parametrize("value", [0, 2, np.float32(0.5), np.int64(3), np.float64(0.25),
+                                       2**60 + 1])
+    def test_numbers_of_every_type_bind_as_their_float(self, four_cycle, value):
+        by_map = uniform_coefficients(four_cycle, value, {p: value for p in four_cycle.points})
+        by_scalar = uniform_coefficients(four_cycle, value, value)
+        by_entries = bind_entries(four_cycle, [(p, k, value) for p in four_cycle.points
+                                               for k in four_cycle.ball(p).points])
+        for c in (by_map, by_scalar, by_entries):
+            assert c.data.tobytes() == np.full(len(c.data), float(value)).tobytes()
+            assert len(c.data) == (12 if value else 0)
+
+    @pytest.mark.parametrize("name", ["rows", "cols"])
+    @pytest.mark.parametrize("position, text", [
+        (1.9, "expected an integer, got 1.9"), ("1", "expected an integer, got '1'"),
+        (True, "expected an integer, got True"), (np.float64(1.0), "expected an integer, got "
+                                                  f"{np.float64(1.0)!r}"),
+        (10**400, "a position is out of range for 4 points"),
+        (4, "a position is out of range for 4 points"),
+        (-1, "a position is out of range for 4 points"),
+    ], ids=["float", "str", "true", "numpy-float", "huge-int", "past-the-end", "negative"])
+    def test_position_not_an_integer_refused(self, four_cycle, name, position, text):
+        pairs = {"rows": [0], "cols": [0], "data": [0.5], name: [position]}
+        with pytest.raises(ValueError) as info:
+            CoefficientMatrix(four_cycle, **pairs)
+        assert str(info.value) == f"{name}: {text}"
+
+    @pytest.mark.parametrize("name", ["rows", "cols"])
+    @pytest.mark.parametrize("positions", [np.array([1.0]), np.array([True]), np.array(["1"])],
+                             ids=["float", "bool", "str"])
+    def test_position_array_of_another_dtype_refused(self, four_cycle, name, positions):
+        pairs = {"rows": [1], "cols": [1], "data": [0.5], name: positions}
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer, got "):
+            CoefficientMatrix(four_cycle, **pairs)
+
+    def test_integer_positions_of_any_integer_dtype(self, four_cycle):
+        for dtype in (np.int8, np.uint16, np.int64, np.uint64):
+            c = CoefficientMatrix(four_cycle, np.array([0, 1], dtype=dtype),
+                                  np.array([0, 1], dtype=dtype), [0.5, 0.5])
+            assert c.rows.dtype == np.intp and c.rows.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("value, text", NOT_NUMBERS[:5], ids=NOT_NUMBER_IDS[:5])
+    def test_data_value_refused(self, four_cycle, value, text):
+        with pytest.raises(ValueError) as info:
+            CoefficientMatrix(four_cycle, [0, 1], [0, 1], [0.5, value])
+        assert str(info.value) == f"data: {text}"
+
+    @pytest.mark.parametrize("matrix, bad", [
+        (np.eye(4, dtype=bool), True),
+        (np.eye(4).astype(str), "'1.0'"),
+        (np.eye(4, dtype=complex), "(1+0j)"),
+        (np.array([[None] * 4] * 4), None),
+        ([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, "1", 0], [0, 0, 0, 1]], "'1'"),
+    ], ids=["bool", "str", "complex", "none", "list-with-str"])
+    def test_matrix_entry_not_a_number_refused(self, four_cycle, matrix, bad):
+        with pytest.raises(ValueError, match=f"^matrix: expected a number, got {re.escape(str(bad))}$"):
+            bind(four_cycle, matrix)
+
+    def test_integer_matrix_binds_as_floats(self, four_cycle):
+        c = bind(four_cycle, np.eye(4, dtype=np.int32))
+        assert c.data.dtype == float and c.data.tolist() == [1.0] * 4
 
 
 class TestUniformCoefficients:
@@ -263,15 +368,27 @@ class TestProblemRefusals:
          r"^boundary_points: point True is not in the space$"),
         ({"boundary_points": [1.0], "boundary_values": lambda t: {1: 1.0}},
          r"^boundary_points: point 1.0 is not in the space$"),
+        # an integer too large for a float is not finite
+        ({"tol": 10**400}, f"^tol: expected a finite number, got {10**400}$"),
+        ({"initial": [1.0, 10**400, 0.0, 0.0]},
+         f"^initial: expected a finite number, got {10**400}$"),
     ], ids=["negative-steps", "fractional-steps", "bool-steps", "nan-tol", "string-tol",
             "none-tol", "bool-tol", "nan-initial", "points-without-values",
             "values-without-points", "string-initial", "bool-initial", "complex-initial",
             "bool-array-initial", "none-initial", "bool-boundary-point",
-            "float-boundary-point"])
+            "float-boundary-point", "huge-int-tol", "huge-int-initial"])
     def test_refused_naming_the_field(self, four_cycle, fields, message):
         fields = dict({"initial": np.ones(4)}, **fields)
         with pytest.raises(ValueError, match=message):
             Problem(four_cycle, bind(four_cycle, np.eye(4)), **fields)
+
+    def test_source_of_an_integer_too_large_for_a_float_refused(self, four_cycle):
+        # A NaN source is left to the blow-up guard; this one has no float at all.
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
+                          source=lambda t: [np.nan, 10**400, 0, 0], steps=3, tol=0.0)
+        with pytest.raises(ValueError,
+                           match=f"^source\\(0\\): expected a finite number, got {10**400}$"):
+            solve_ivp(problem)
 
     def test_numpy_integer_boundary_points_accepted(self, four_cycle):
         problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
@@ -744,6 +861,11 @@ class TestSolveBvp:
         np.testing.assert_array_equal(got, expected)
         assert got[2, 0] == 2.0
 
+    def test_clamp_of_an_integer_too_large_for_a_float_refused(self, four_cycle):
+        with pytest.raises(ValueError, match=r"^boundary_values\(2\): expected a finite number, "
+                                             f"got {10**400}$"):
+            solve_bvp(self.clamped_at_step_2(four_cycle, 10**400))
+
     def test_clamp_nan_is_a_divergence(self, four_cycle):
         with pytest.raises(DivergenceError, match="^norm nan exceeded blow-up guard at step 2$"):
             solve_bvp(self.clamped_at_step_2(four_cycle, float("nan")))
@@ -758,6 +880,11 @@ class TestSolveBvp:
 class TestStabilityBound:
     def test_zero_matrix(self, four_cycle):
         assert stability_bound_check(bind(four_cycle, np.zeros((4, 4))))
+
+    def test_empty_space_has_no_entry_to_break_the_bound(self):
+        empty = DigitalSpace([], [])
+        assert stability_bound_check(uniform_coefficients(empty, 0.5, 0.5)) is True
+        assert stability_bound_check(bind(empty, np.zeros((0, 0)))) is True
 
     def test_s4_matrix_fails_sufficient_condition(self):
         c = uniform_coefficients(catalog.space("s4_min"), 0.01, 0.92)

@@ -1,6 +1,8 @@
 import random
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -212,6 +214,29 @@ class TestManifoldSurface:
     def test_bad_dimension_refused(self, four_cycle, check, n):
         with pytest.raises(ValueError, match="dimension must be"):
             check(four_cycle, n)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None], ids=repr)
+    @pytest.mark.parametrize("check, kind", [(is_n_sphere, "sphere"), (is_n_surface, "surface"),
+                                             (is_n_manifold, "manifold")])
+    def test_dimension_not_an_integer_refused(self, check, kind, n):
+        # 1.5 answered no with the witness "not a 0.5-sphere", 2.0 reported a
+        # "2.0-sphere", True ran as 1, and "2" died with a bare TypeError.
+        message = f"^{kind} dimension must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            check(minimal_sphere(2), n)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2"], ids=repr)
+    def test_minimal_sphere_dimension_not_an_integer_refused(self, n):
+        message = f"^sphere dimension must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            minimal_sphere(n)
+
+    def test_numpy_integer_dimension_accepted_as_an_int(self):
+        g = minimal_sphere(np.int64(2))
+        assert g.name == "s2_min" and len(g.edges) == 12
+        for check in (is_n_sphere, is_n_surface, is_n_manifold):
+            report = check(g, np.int8(2))
+            assert report.ok and type(report.n) is int and report.n == 2
 
     @pytest.mark.parametrize("check", [is_n_sphere, is_n_surface])
     def test_empty_graph_at_zero_is_not_two_points(self, check):

@@ -40,10 +40,9 @@ from .graph_core import DigitalSpace, parse_label
 from .solver import (CoefficientMatrix, Problem, SupportError, Trajectory, bind_entries,
                      finite_number, uniform_coefficients)
 
-# The library's argument names, as the JSON fields they are read from; a
-# ``diag`` refusal names the form the file used, ``diag`` or ``diag_map``.
+# The library's argument names, as the JSON fields they are read from (a
+# ``diag`` refusal is renamed where the coefficients' form is known).
 _JSON_FIELDS = {"entries": "coefficients.entries", "offdiag": "coefficients.uniform_offdiag",
-                "diag": "coefficients.diag", "diag_map": "coefficients.diag_map",
                 "boundary_points": "boundary.points"}
 
 
@@ -81,13 +80,20 @@ def _load_coefficients(space: DigitalSpace, spec) -> CoefficientMatrix:
                 raise ProblemFormatError("coefficients.diag_map: expected an object")
             diag = {parse_label(p, "coefficients.diag_map"): v
                     for p, v in spec["diag_map"].items()}
+            field = "coefficients.diag_map"
         elif "diag" in spec:
-            diag = spec["diag"]
+            diag, field = spec["diag"], "coefficients.diag"
             if isinstance(diag, dict):  # an object here is not a diag map
-                raise ProblemFormatError(f"coefficients.diag: expected a number, got {diag!r}")
+                raise ProblemFormatError(f"{field}: expected a number, got {diag!r}")
         else:
             raise ProblemFormatError("coefficients: uniform_offdiag needs diag or diag_map")
-        return uniform_coefficients(space, spec["uniform_offdiag"], diag)
+        try:
+            return uniform_coefficients(space, spec["uniform_offdiag"], diag)
+        except ValueError as exc:  # a ``diag`` refusal names the form the file used
+            name, sep, rest = str(exc).partition(": ")
+            if name != "diag":
+                raise
+            raise ProblemFormatError(field + sep + rest)
     raise ProblemFormatError("coefficients: expected entries or uniform_offdiag form")
 
 
@@ -130,8 +136,6 @@ def problem_from_json_dict(d: dict) -> Problem:
         problem = Problem(space, coeffs, initial, **fields)
     except ValueError as exc:  # a library refusal starts with its argument's name
         name, sep, rest = str(exc).partition(": ")
-        if name == "diag" and "diag_map" in d["coefficients"]:
-            name = "diag_map"
         raise ProblemFormatError(_JSON_FIELDS.get(name, name) + sep + rest)
     if boundary:
         clamp.update(zip(points, values))

@@ -92,17 +92,6 @@ def _reals(values, name: str, copy: bool = False) -> np.ndarray:
         raise
 
 
-def _finite_reals(values: list, name: str) -> np.ndarray:
-    """The list ``values`` as a float array, each value checked as
-    ``finite_number`` checks it, by ``_reals``' one pass over the types
-    and one ``np.isfinite``."""
-    array = _reals(values, name)
-    bad = ~np.isfinite(array)
-    if bad.any():
-        raise ValueError(f"{name}: expected a finite number, got {values[bad.argmax()]!r}")
-    return array
-
-
 def _positions(values, name: str, n: int) -> np.ndarray:
     """``values`` as a new intp array, refused with a ValueError naming the
     argument unless each value is an integer (not a bool) that fits one.
@@ -308,12 +297,25 @@ def uniform_coefficients(space: DigitalSpace, offdiag: float,
     weights = np.empty(n + 1)
     weights[n] = finite_number(offdiag, "offdiag")
     if isinstance(diag, dict):
-        values = _finite_reals(list(diag.values()), "diag")
+        # One type pass, skipped at C speed when every value is a plain
+        # float, then one np.isfinite; the first bad value is named.
+        values = list(diag.values())
+        if not set(map(type, values)) <= {float}:
+            for v in values:
+                if not _is_number(v):
+                    raise ValueError(f"diag: expected a number, got {v!r}")
+        try:
+            array = np.fromiter(values, float, len(values))
+        except OverflowError:  # an integer too large for a float
+            array = np.array([finite_number(v, "diag") for v in values])
+        bad = ~np.isfinite(array)
+        if bad.any():
+            raise ValueError(f"diag: expected a finite number, got {values[bad.argmax()]!r}")
         positions = space.positions(diag, "diag")
         if len(diag) != n:
             p = next(p for p in space.points if p not in diag)
             raise ValueError(f"diag: point {p!r} has no value")
-        weights[positions] = values
+        weights[np.fromiter(positions, np.intp, n)] = array  # faster than indexing by the list
     else:
         weights[:n] = finite_number(diag, "diag")
     # Its pairs are the ball pairs, ascending: the diagonal reads its slot,

@@ -243,13 +243,27 @@ class TestCoefficientMessages:
          "coefficients.diag_map: expected a finite number, got -inf"),
         ({"uniform_offdiag": 0.1, "diag_map": {str(p): 0.4 for p in range(1, 16)}},
          "coefficients.diag_map: point 16 has no value"),
+        ({"uniform_offdiag": 0.1, "diag_map": {str(p): [0.4] for p in range(1, 17)}},
+         "coefficients.diag_map: expected a number, got [0.4]"),
+        ({"uniform_offdiag": 0.1,
+          "diag_map": dict({str(p): [0.1, 0.1] for p in range(1, 16)}, **{"16": [0.1, np.nan]})},
+         "coefficients.diag_map: expected a number, got [0.1, 0.1]"),
     ], ids=["short-entry", "number-entry", "entry-true", "entry-str", "entry-null", "entry-nan",
             "entry-off-the-balls", "offdiag-true", "offdiag-inf", "offdiag-list", "diag-null",
-            "diag-str", "diag-object", "diag-map-true", "diag-map-inf", "diag-map-missing"])
+            "diag-str", "diag-object", "diag-map-true", "diag-map-inf", "diag-map-missing",
+            "diag-map-lists", "diag-map-pairs"])
     def test_message(self, coefficients, message):
         with pytest.raises(ProblemFormatError) as info:
             problem_from_json_dict(klein_problem_dict(coefficients=coefficients))
         assert str(info.value) == message
+
+    def test_diag_map_list_on_one_point_refused(self):
+        d = {"space": {"points": [1], "edges": []},
+             "coefficients": {"uniform_offdiag": 0.1, "diag_map": {"1": [0.4]}},
+             "initial": [1.0]}
+        with pytest.raises(ProblemFormatError) as info:
+            problem_from_json_dict(d)
+        assert str(info.value) == "coefficients.diag_map: expected a number, got [0.4]"
 
     @pytest.mark.parametrize("coefficients, field, value", [
         ({"entries": [[1, 1, HUGE]]}, "coefficients.entries", HUGE),

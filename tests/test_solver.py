@@ -163,6 +163,19 @@ class TestCoefficientArguments:
     def test_diag_map_refusal_names_its_first_bad_value_in_map_order(self, four_cycle):
         with pytest.raises(ValueError, match="^diag: expected a finite number, got inf$"):
             uniform_coefficients(four_cycle, 0.25, {4: np.inf, 1: 0.5, 2: np.nan, 3: 0.5})
+        with pytest.raises(ValueError, match="^diag: expected a finite number, got nan$"):
+            uniform_coefficients(four_cycle, 0.25, {4: np.nan, 1: 0.5, 2: 10**400, 3: 0.5})
+
+    @pytest.mark.parametrize("space, diag, text", [
+        ("four_cycle", {p: [0.5] for p in range(1, 5)}, "[0.5]"),
+        ("four_cycle", {1: [0.5, 0.5], 2: [0.5, 0.5], 3: [0.5, 0.5], 4: [0.5, np.nan]},
+         "[0.5, 0.5]"),
+        ("one_point", {1: [0.4]}, "[0.4]"),
+    ], ids=["one-element-lists", "pairs-nan-last", "one-point"])
+    def test_diag_map_of_lists_refused(self, request, space, diag, text):
+        with pytest.raises(ValueError) as info:
+            uniform_coefficients(request.getfixturevalue(space), 0.25, diag)
+        assert str(info.value) == f"diag: expected a number, got {text}"
 
     @pytest.mark.parametrize("value", [0, 2, np.float32(0.5), np.int64(3), np.float64(0.25),
                                        2**60 + 1])

@@ -40,7 +40,7 @@ def _encode(adj, ordering) -> Tuple[Tuple[int, int], ...]:
 
 def canonical_form(g: DigitalSpace) -> CanonicalForm:
     """A label-independent encoding: isomorphic graphs map to equal values."""
-    adj = {v: g.neighbors(v) for v in g.points}
+    adj = g.adjacency
     n = len(g.points)
     if n == 0:
         return (0, ())

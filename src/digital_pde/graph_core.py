@@ -6,6 +6,10 @@ the diffusion solver) consumes the primitives defined here: the rim
 O(v) of a point, the ball U(v), the rim O(uv) of an edge, joins and
 induced subgraphs.
 
+A space stores its graph once, as each point's neighbour set; ``edges``
+is read from those sets, and a rim or any induced subgraph is built from
+the parent's sets at the cost of its own size, not the space's.
+
 Graphs are immutable values.  Every transformation returns a new
 graph, so results can be shared and memoized safely.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,24 +48,19 @@ def parse_label(text: str, name: str) -> int:
     raise ValueError(f"{name}: bad point label {text!r}")
 
 
-def _normalize_edge(u, v) -> Tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
 class DigitalSpace:
     """A finite simple undirected graph with stable point labels.
 
     Points are integer labels kept in a fixed order, and the read-only
-    mapping ``index`` gives each point's position in it; edges are
-    unordered pairs of distinct points, and the read-only mapping
-    ``adjacency`` gives each point's neighbours as a frozenset.  The
-    constructor refuses a label that is not an integer (``True`` and
-    ``1.0`` equal 1 but are not labels), a repeated point, a self-loop and
+    mapping ``index`` gives each point's position in it.  The read-only
+    mapping ``adjacency``, each point's neighbours as a frozenset, is the
+    stored graph; ``edges`` is read from it.  The constructor refuses a
+    label that is not an integer (``True`` and ``1.0`` equal 1 but are not
+    labels), a repeated point, an edge that is not a pair, a self-loop and
     an edge to no point, and stores each label as a Python int.
     """
 
-    __slots__ = ("points", "edges", "name", "index", "adjacency", "_index", "_adj",
-                 "_ball_keys")
+    __slots__ = ("points", "name", "index", "adjacency", "_index", "_adj", "_ball_keys")
 
     def __init__(self, points: Iterable[int], edges: Iterable[Sequence[int]],
                  name: Optional[str] = None):
@@ -71,34 +70,37 @@ class DigitalSpace:
                 if not is_label(p):
                     raise ValueError(f"points: expected integers, got {p!r}")
             pts = tuple(map(int, pts))
-        index = {p: i for i, p in enumerate(pts)}
-        if len(index) != len(pts):
+        adj = {p: set() for p in pts}
+        if len(adj) != len(pts):
             raise ValueError("duplicate point identifiers")
-        norm = set()
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                u = v = None  # not a pair: refused below, as a non-label is
             if type(u) is not int or type(v) is not int:
                 if not (is_label(u) and is_label(v)):
                     raise ValueError(f"edges: expected a pair of integers, got {e!r}")
                 u, v = int(u), int(v)
             if u == v:
                 raise ValueError(f"self-loop at point {u}")
-            if u not in index or v not in index:
+            if u not in adj or v not in adj:
                 raise UnknownPointError(f"edge ({u},{v}) endpoint not a point")
-            norm.add(_normalize_edge(u, v))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "edges", frozenset(norm))
+            adj[u].add(v)
+            adj[v].add(u)
+        self._assemble({p: frozenset(s) for p, s in adj.items()}, name)
+
+    def _assemble(self, adj: dict, name: Optional[str]) -> "DigitalSpace":
+        """Store checked neighbour sets: int labels, in point order, each edge at both ends."""
+        index = {p: i for i, p in enumerate(adj)}
+        object.__setattr__(self, "points", tuple(adj))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_index", index)  # for positions: faster than the proxy
         object.__setattr__(self, "index", MappingProxyType(index))
-        adj = {p: set() for p in pts}
-        for u, v in norm:
-            adj[u].add(v)
-            adj[v].add(u)
-        adj = {p: frozenset(s) for p, s in adj.items()}
         object.__setattr__(self, "_adj", adj)  # for neighbors: faster than the proxy
         object.__setattr__(self, "adjacency", MappingProxyType(adj))
         object.__setattr__(self, "_ball_keys", None)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("DigitalSpace is immutable")
@@ -114,14 +116,19 @@ class DigitalSpace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitalSpace):
             return NotImplemented
-        return set(self.points) == set(other.points) and self.edges == other.edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.points), self.edges))
+        return hash(frozenset(self._adj.items()))
 
     def __repr__(self) -> str:
         label = self.name or "space"
         return f"<DigitalSpace {label}: {len(self.points)} points, {len(self.edges)} edges>"
+
+    @property
+    def edges(self) -> frozenset:
+        """Each edge once, as (u, v) with u < v, read from ``adjacency``."""
+        return frozenset((u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v)
 
     def neighbors(self, v) -> frozenset:
         if type(v) is int:  # a plain int is a label: a lookup decides
@@ -137,7 +144,7 @@ class DigitalSpace:
 
     def has_edge(self, u, v) -> bool:
         """Whether u and v are points of the space and an edge joins them."""
-        return u in self and v in self and _normalize_edge(u, v) in self.edges
+        return u in self and v in self and v in self._adj[u]
 
     # -- digital-topology primitives -------------------------------------
 
@@ -174,7 +181,7 @@ class DigitalSpace:
             rims = list(self._adj.values())
             degrees = np.fromiter(map(len, rims), dtype=np.intp, count=n)
             ends = np.fromiter(map(index.__getitem__, chain.from_iterable(rims)),
-                               dtype=np.intp, count=2 * len(self.edges))
+                               dtype=np.intp, count=int(degrees.sum()))
             starts = np.arange(n, dtype=np.intp) * n
             keys = np.concatenate((starts + np.arange(n), np.repeat(starts, degrees) + ends))
             keys.sort()
@@ -189,11 +196,11 @@ class DigitalSpace:
         return self.induced(self.neighbors(u) & self.neighbors(v))
 
     def induced(self, subset: Iterable[int]) -> "DigitalSpace":
-        sub = set(subset)
-        self.positions(sub, "induced")
-        pts = tuple(p for p in self.points if p in sub)
-        edges = [e for e in self.edges if e[0] in sub and e[1] in sub]
-        return DigitalSpace(pts, edges)
+        """The subgraph on the named points, built from their neighbour sets
+        and the space's own labels (never the caller's objects), in its order."""
+        pts = [self.points[i] for i in sorted(set(self.positions(subset, "induced")))]
+        sub, adj = frozenset(pts), self._adj
+        return object.__new__(DigitalSpace)._assemble({p: adj[p] & sub for p in pts}, None)
 
     # -- transformations (always return new values) ----------------------
 
@@ -201,29 +208,27 @@ class DigitalSpace:
         return self.delete_points((v,))
 
     def delete_points(self, vs: Iterable[int]) -> "DigitalSpace":
-        gone = set(vs)
-        self.positions(gone, "delete_points")
-        pts = tuple(p for p in self.points if p not in gone)
-        edges = [e for e in self.edges if e[0] not in gone and e[1] not in gone]
-        return DigitalSpace(pts, edges, name=self.name)
+        gone = {self.points[i] for i in self.positions(vs, "delete_points")}
+        adj = {p: nbrs - gone for p, nbrs in self._adj.items() if p not in gone}
+        return object.__new__(DigitalSpace)._assemble(adj, self.name)
 
     def delete_edge(self, u, v) -> "DigitalSpace":
         if not self.has_edge(u, v):
             raise UnknownEdgeError(f"({u},{v}) is not an edge")
-        return DigitalSpace(self.points, self.edges - {_normalize_edge(u, v)}, name=self.name)
+        adj = dict(self._adj)  # keys are the space's labels, though u and v may not be
+        adj[u], adj[v] = adj[u] - {v}, adj[v] - {u}
+        return object.__new__(DigitalSpace)._assemble(adj, self.name)
 
     def add_point(self, v, neighbors: Iterable[int] = ()) -> "DigitalSpace":
         if v in self:
             raise ValueError(f"point {v} already present")
-        nbrs = list(neighbors)
-        edges = list(self.edges) + [(v, u) for u in nbrs]
+        edges = [*self.edges, *((v, u) for u in neighbors)]
         return DigitalSpace(self.points + (v,), edges, name=self.name)
 
     def add_edge(self, u, v) -> "DigitalSpace":
         if self.has_edge(u, v):
             raise ValueError(f"({u},{v}) already an edge")
-        return DigitalSpace(self.points, set(self.edges) | {_normalize_edge(u, v)},
-                            name=self.name)
+        return DigitalSpace(self.points, [*self.edges, (u, v)], name=self.name)
 
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
@@ -259,11 +264,10 @@ class DigitalSpace:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DigitalSpace":
-        """Read graph JSON.  A document that is not an object, ``points``
-        that are not a list, ``edges`` that are not a list of pairs and a
-        ``name`` that is not a string are refused with a ValueError naming
-        the field, and so is every graph the constructor refuses.  A
-        missing, null or empty name means no name."""
+        """Read graph JSON.  A document that is not an object, ``points`` or
+        ``edges`` that are not a list and a ``name`` that is not a string are
+        refused with a ValueError naming the field, and so is every graph the
+        constructor refuses.  A missing, null or empty name means no name."""
         if not isinstance(d, dict):
             raise ValueError(f"graph JSON: expected an object, got {type(d).__name__}")
         points, edges = d.get("points"), d.get("edges")
@@ -271,9 +275,6 @@ class DigitalSpace:
             raise ValueError(f"points: expected a list of integers, got {points!r}")
         if not isinstance(edges, list):
             raise ValueError(f"edges: expected a list of integer pairs, got {edges!r}")
-        for e in edges:
-            if not (isinstance(e, list) and len(e) == 2):
-                raise ValueError(f"edges: expected a pair of integers, got {e!r}")
         name = d.get("name")
         if name is not None and not isinstance(name, str):
             raise ValueError(f"name: expected a string, got {name!r}")
@@ -300,8 +301,17 @@ def join(g: DigitalSpace, h: DigitalSpace, name: Optional[str] = None) -> Digita
     return DigitalSpace(points, edges, name=name)
 
 
+def as_integer(value, what: str) -> int:
+    """``value`` as an int, or a ValueError naming ``what`` unless it is an
+    int or a NumPy integer, not a bool (``is_label``'s rule)."""
+    if not is_label(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def cycle_space(n: int, name: Optional[str] = None) -> DigitalSpace:
     """Cycle on points 1..n (n >= 3)."""
+    n = as_integer(n, "n")
     if n < 3:
         raise ValueError("cycle needs at least 3 points")
     pts = list(range(1, n + 1))
@@ -311,5 +321,5 @@ def cycle_space(n: int, name: Optional[str] = None) -> DigitalSpace:
 
 def path_space(n: int, name: Optional[str] = None) -> DigitalSpace:
     """Path on points 1..n."""
-    pts = list(range(1, n + 1))
+    pts = list(range(1, as_integer(n, "n") + 1))
     return DigitalSpace(pts, [(i, i + 1) for i in pts[:-1]], name=name)

@@ -235,7 +235,7 @@ class CoefficientMatrix:
 def _same_space(a: DigitalSpace, b: DigitalSpace) -> bool:
     """Coefficients bound to ``a`` run on ``b``: same points, in the same
     order, and same edges."""
-    return a is b or (a.points == b.points and a.edges == b.edges)
+    return a is b or (a.points == b.points and a == b)
 
 
 def bind(space: DigitalSpace, matrix: np.ndarray,
@@ -637,16 +637,15 @@ class SpectralReport:
 
 
 def limit_matrix(c: CoefficientMatrix) -> SpectralReport:
-    """Limit of C^t for a constant diffusion matrix.
-
-    C^t converges to a matrix with equal columns exactly when C is
-    primitive; otherwise (reducible, or irreducible with period > 1)
-    no limit is reported and ``limit`` and ``stationary_column`` are
-    None.  The stationary column solves C x = x with sum(x) = 1.  When
-    the rows of C also sum to one (within ``DIFFUSION_TOL``), as those of
-    every symmetric diffusion do, C fixes the uniform vector, and a
-    primitive C fixes no other column of sum 1 (Perron-Frobenius), so
-    the column is 1/n everywhere and no solve is made.
+    """Limit of C^t for a constant diffusion matrix, reported only for a
+    primitive C, whose powers converge to equal columns; otherwise
+    ``limit`` and ``stationary_column`` are None, though C^t may converge
+    (on ``path_space(2)``, the reducible [[1, .5], [0, .5]]).  The
+    stationary column solves C x = x with sum(x) = 1.  When the rows of C
+    also sum to one (within ``DIFFUSION_TOL``), as those of every
+    symmetric diffusion do, C fixes the uniform vector, and a primitive C
+    fixes no other column of sum 1 (Perron-Frobenius), so the column is
+    1/n everywhere and no solve is made.
     """
     if c.rule is not None:
         raise ValueError("limit_matrix supports constant coefficients only")

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from .graph_core import DigitalSpace, UnknownEdgeError, is_label, join
+from .graph_core import DigitalSpace, UnknownEdgeError, as_integer, join
 from .invariants import chi_counter
 
 
@@ -341,11 +341,10 @@ def is_simple_edge(g: DigitalSpace, u, v) -> bool:
 
 def attach_point(g: DigitalSpace, rim_points, new_id) -> DigitalSpace:
     """Glue a new point whose rim is the given contractible subgraph."""
-    rim = frozenset(rim_points)
-    g.positions(rim, "attach_point")
+    rim = frozenset(g.points[i] for i in g.positions(rim_points, "attach_point"))
     if not _Verdicts(g).simple(rim):
         raise ValueError("attachment rim is not contractible")
-    return g.add_point(new_id, rim_points)
+    return g.add_point(new_id, rim)
 
 
 def attach_edge(g: DigitalSpace, u, v) -> DigitalSpace:
@@ -405,17 +404,9 @@ def homotopy_reduce(g: DigitalSpace) -> Tuple[DigitalSpace, ReductionTrace]:
 # spheres, manifolds, surfaces
 # ---------------------------------------------------------------------------
 
-def _dimension(n, kind: str) -> int:
-    """``n`` as an int, or a ValueError naming the dimension unless it is
-    an int or a NumPy integer, not a bool (``is_label``'s rule)."""
-    if not is_label(n):
-        raise ValueError(f"{kind} dimension must be an integer, got {n!r}")
-    return int(n)
-
-
 def _report(g: DigitalSpace, n: int, kind: str) -> ManifoldReport:
     least = 1 if kind == "manifold" else 0
-    n = _dimension(n, kind)
+    n = as_integer(n, f"{kind} dimension")
     if n < least:
         raise ValueError(f"{kind} dimension must be >= {least}")
     found = _Verdicts(g).failure(frozenset(g.points), n, kind)
@@ -451,7 +442,7 @@ def zero_sphere() -> DigitalSpace:
 def minimal_sphere(n: int) -> DigitalSpace:
     """Join of (n+1) copies of the 0-sphere: complete (n+1)-partite
     graph with parts of size two, 2(n+1) points total."""
-    n = _dimension(n, "sphere")
+    n = as_integer(n, "sphere dimension")
     if n < 0:
         raise ValueError("sphere dimension must be >= 0")
     pts = list(range(1, 2 * (n + 1) + 1))

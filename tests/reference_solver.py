@@ -4,7 +4,8 @@ support check, support-graph verdicts, limit and time loop.
 The matrix-power definitions, applied directly: a support is primitive
 when some power of its 0/1 pattern is entrywise positive, checked for
 every power up to the Wielandt bound (n - 1)^2 + 1, and the limit of
-C^t is found by squaring C until two squares agree.  The time loop keeps
+C^t of a primitive C is its stationary column, solved exactly in
+fractions from the float matrix, in every column.  The time loop keeps
 one (t, values) state per step and recomputes convergence from the last
 two states; it takes each product from ``digital_pde.solver.step``,
 which ``test_stored_pairs_match_dense_reference`` checks against the
@@ -16,7 +17,9 @@ the tests compare ``digital_pde`` against it on small inputs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from fractions import Fraction
+from math import lcm
+from typing import List, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -138,18 +141,30 @@ def is_primitive(mat: np.ndarray) -> bool:
     return bool(power.all())
 
 
-def limit(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 200) -> Optional[np.ndarray]:
-    """C^(2^k) for the first k at which two successive squares agree
-    within ``tol``, or None when that does not happen in ``max_iter``
-    squarings.  Only meaningful when C^t converges, i.e. C is primitive."""
-    power = np.array(mat, dtype=float)
-    for _ in range(max_iter):
-        nxt = power @ power
-        residual = float(np.abs(nxt - power).max())
-        power = nxt
-        if residual < tol:
-            return power
-    return None
+def limit(mat: np.ndarray) -> np.ndarray:
+    """lim C^t of a primitive diffusion C: every column is the x of sum 1
+    with x_i = (C x)_i on the first n - 1 rows, solved exactly from the
+    float entries, so the oracle's own error is the final rounding of x.
+    Each row is scaled to integers, and fraction-free Gauss-Jordan
+    elimination (Bareiss) keeps them integers: every entry is a minor of
+    the scaled matrix, so each division is exact.  Meant for n <= 16."""
+    n = len(mat)
+    rows = [[Fraction(float(v)) - (i == j) for j, v in enumerate(mat[i])] + [Fraction(0)]
+            for i in range(n - 1)] + [[Fraction(1)] * (n + 1)]
+    rows = [[int(v * scale) for v in row] for row in rows
+            for scale in [lcm(*(v.denominator for v in row))]]
+    previous = 1
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        row, lead = rows[k], rows[k][k]
+        for i in range(n):
+            if i != k:
+                factor = rows[i][k]
+                rows[i] = [(lead * a - factor * b) // previous for a, b in zip(rows[i], row)]
+        previous = lead
+    column = np.array([float(Fraction(row[n], row[i])) for i, row in enumerate(rows)])
+    return np.outer(column, np.ones(n))
 
 
 def trajectory(problem) -> Tuple[List[np.ndarray], List[float], List[float], bool]:

@@ -1,4 +1,6 @@
 import json
+import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from digital_pde.graph_core import (
     parse_label,
     path_space,
 )
+from digital_pde import catalog
 from digital_pde.canonical import are_isomorphic
-from digital_pde.topology import minimal_sphere
+from digital_pde.invariants import homology
+from digital_pde.solver import Problem, uniform_coefficients
+from digital_pde.topology import is_n_sphere, minimal_sphere
 
 
 def random_graph(draw):
@@ -44,7 +49,11 @@ class TestConstruction:
         ([1, 2, 3], [[1, 2.0]], r"^edges: expected a pair of integers, got \[1, 2.0\]$"),
         ([1.0, 2], [], "^points: expected integers, got 1.0$"),
         ([1, True], [], "^points: expected integers, got True$"),
-    ], ids=["bool-endpoint", "float-endpoint", "float-point", "bool-point"])
+        ([1, 2], [1], "^edges: expected a pair of integers, got 1$"),
+        ([1, 2], [(1, 2, 3)], r"^edges: expected a pair of integers, got \(1, 2, 3\)$"),
+        ([1, 2], [[1]], r"^edges: expected a pair of integers, got \[1\]$"),
+    ], ids=["bool-endpoint", "float-endpoint", "float-point", "bool-point", "int-edge",
+            "triple-edge", "one-end-edge"])
     def test_refuses_a_label_that_is_not_an_integer(self, points, edges, message):
         with pytest.raises(ValueError, match=message):
             DigitalSpace(points, edges)
@@ -218,12 +227,15 @@ class TestJson:
         ({"points": [1, 2], "edges": [[1, 2, 3]]}, r"edges: expected a pair of integers, got \[1, 2, 3\]"),
         ({"points": [1, 2], "edges": [[True, 2]]}, r"edges: expected a pair of integers, got \[True, 2\]"),
         ({"points": [1, 2], "edges": ["12"]}, "edges: expected a pair of integers, got '12'"),
+        ({"points": [1, 2], "edges": [1]}, "edges: expected a pair of integers, got 1$"),
+        ({"points": [1, 2], "edges": [None]}, "edges: expected a pair of integers, got None$"),
         ({"points": [1, 2], "edges": [[1, 2]], "name": [1]}, r"name: expected a string, got \[1\]"),
         ({"points": [1, 2], "edges": [[1, 2]], "name": {"a": 1}}, "name: expected a string"),
         ({"points": [1, 2], "edges": [[1, 2]], "name": True}, "name: expected a string, got True"),
         ({"points": [1, 2], "edges": [[1, 2]], "name": 7}, "name: expected a string, got 7"),
     ], ids=["list-document", "no-points", "string-points", "bool-point", "float-point",
-            "null-point", "no-edges", "triple-edge", "bool-edge", "string-edge",
+            "null-point", "no-edges", "triple-edge", "bool-edge", "string-edge", "number-edge",
+            "null-edge",
             "list-name", "object-name", "bool-name", "number-name"])
     def test_refuses_non_integer_labels(self, doc, field):
         with pytest.raises(ValueError, match=field):
@@ -266,6 +278,7 @@ class TestIndex:
         assert dict(g.index) == {5: 0, 2: 1, 9: 2}
         assert all(g.points[i] == p for p, i in g.index.items())
         assert dict(g.delete_point(2).index) == {5: 0, 9: 1}
+        assert dict(g.induced([9, 2]).index) == {2: 0, 9: 1}
 
     def test_read_only(self, four_cycle):
         with pytest.raises(TypeError):
@@ -287,3 +300,107 @@ class TestSubspace:
         for n in range(5):
             g = minimal_sphere(n)
             assert len(g.points) == 2 * (n + 1)
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("build", [cycle_space, path_space])
+    @pytest.mark.parametrize("n", [4.0, 2.5, True, "4", None], ids=repr)
+    def test_refuses_a_count_that_is_not_an_integer(self, build, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            build(n)
+
+    def test_numpy_integer_count(self):
+        assert cycle_space(np.int64(4)) == cycle_space(4)
+        assert path_space(np.int8(3)).points == (1, 2, 3)
+        with pytest.raises(ValueError, match="^cycle needs at least 3 points$"):
+            cycle_space(2)
+
+
+def assert_same_graph(got, want):
+    assert got.points == want.points
+    assert dict(got.index) == dict(want.index)
+    assert dict(got.adjacency) == dict(want.adjacency)
+    assert got.edges == want.edges
+    assert got.name == want.name
+    assert got.to_json() == want.to_json()
+    labels = [*got.points, *got.adjacency, *chain.from_iterable(got.adjacency.values())]
+    assert all(type(p) is int for p in labels)
+
+
+def maybe_numpy(draw, p):
+    return np.int64(p) if draw(st.booleans()) else p
+
+
+@st.composite
+def derived_graphs(draw):
+    """A graph with distinct labels in any order, one of its derived graphs,
+    with NumPy integers among the arguments, and the reference: the graph
+    the checking constructor builds from the filtered edge list, as every
+    derived graph was once made."""
+    points = draw(st.lists(st.integers(-20, 20), unique=True, max_size=9))
+    pairs = [(u, v) for i, u in enumerate(points) for v in points[i + 1:]]
+    edges = [e for e in pairs if draw(st.booleans())]
+    name = draw(st.sampled_from([None, "g"]))
+    g = DigitalSpace(points, edges, name=name)
+    ops = ["induced", "delete_points", "add_point"] + ["delete_edge"] * bool(edges)
+    ops += ["add_edge"] * (len(edges) < len(pairs))
+    op = draw(st.sampled_from(ops))
+    if op in ("induced", "delete_points"):
+        named = draw(st.lists(st.sampled_from(points), max_size=len(points) + 2)) if points else []
+        arg = [maybe_numpy(draw, p) for p in named]
+        if op == "induced":
+            sub = set(named)
+            want = DigitalSpace([p for p in points if p in sub],
+                                [e for e in edges if e[0] in sub and e[1] in sub])
+            return g.induced(arg), want
+        gone = set(named)
+        want = DigitalSpace([p for p in points if p not in gone],
+                            [e for e in edges if e[0] not in gone and e[1] not in gone],
+                            name=name)
+        return g.delete_points(arg), want
+    if op == "add_point":
+        v = draw(st.integers(21, 30))
+        nbrs = draw(st.lists(st.sampled_from(points), unique=True)) if points else []
+        want = DigitalSpace(points + [v], edges + [(v, u) for u in nbrs], name=name)
+        return g.add_point(maybe_numpy(draw, v), [maybe_numpy(draw, u) for u in nbrs]), want
+    pool = edges if op == "delete_edge" else [e for e in pairs if e not in edges]
+    u, v = draw(st.sampled_from(pool))
+    if draw(st.booleans()):
+        u, v = v, u
+    pair = (maybe_numpy(draw, u), maybe_numpy(draw, v))
+    if op == "delete_edge":
+        want = DigitalSpace(points, [e for e in edges if set(e) != {u, v}], name=name)
+        return g.delete_edge(*pair), want
+    return g.add_edge(*pair), DigitalSpace(points, edges + [(u, v)], name=name)
+
+
+class TestDerivedGraphs:
+    @given(derived_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_checked_graph_of_the_filtered_edges(self, drawn):
+        got, want = drawn
+        assert_same_graph(got, want)
+
+    def test_read_neither_edges_nor_the_checking_constructor(self, monkeypatch):
+        """Every reader of the graph, and the graphs derived from it, work
+        from the neighbour sets: ``edges`` raises, and so does the checking
+        constructor, for the whole run."""
+        g, patch = minimal_sphere(2), catalog.digital_plane_patch(4, 4).space
+        copy = DigitalSpace(g.points, g.edges)
+        c = uniform_coefficients(g, 0.1, 0.6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("read the edge set or ran the checking constructor")
+
+        monkeypatch.setattr(DigitalSpace, "edges", property(refuse))
+        monkeypatch.setattr(DigitalSpace, "__init__", refuse)
+        assert g.rim(1).points == (3, 4, 5, 6) and g.ball(1).points == (1, 3, 4, 5, 6)
+        assert g.edge_rim(1, 3).points == (5, 6)
+        assert g.delete_points([1, 2]).points == (3, 4, 5, 6)
+        assert not g.delete_edge(1, 3).has_edge(3, 1) and g.has_edge(3, 1)
+        assert copy == g and g.delete_edge(1, 3) != g
+        assert len(g.ball_keys()) == 6 + 2 * 12
+        assert is_n_sphere(g, 2).ok
+        assert homology(patch).betti == [1, 0, 0]
+        assert Problem(copy, c, np.ones(6)).coefficients.space is g
+        assert uniform_coefficients(patch, 0.1, 0.5).n == 16

@@ -107,6 +107,19 @@ def test_point_not_in_the_space_refused(tmp_path, field, error, call, p):
     assert str(info.value) == message
 
 
+HASHABLE_KEYS = {"diag"}  # a dict key: the caller cannot even name a list there
+
+
+@pytest.mark.parametrize("field, error, call",
+                         [e for e in ENTRY_POINTS if e[0] not in HASHABLE_KEYS],
+                         ids=[field for field, _, _ in ENTRY_POINTS if field not in HASHABLE_KEYS])
+def test_unhashable_point_refused_before_it_is_hashed(tmp_path, field, error, call):
+    """The list [1] is looked up, and refused, before anything hashes it:
+    ``induced``, ``delete_points`` and ``attach_point`` once raised a bare
+    ``TypeError: unhashable type``."""
+    test_point_not_in_the_space_refused(tmp_path, field, error, call, [1])
+
+
 @pytest.mark.parametrize("p", [True, 1.0, 99], ids=["true", "float", "absent"])
 def test_membership_and_edges_only_of_points(p):
     assert p not in C4

@@ -4,7 +4,11 @@ pytest turns warnings into errors (``filterwarnings`` in
 ``pyproject.toml``).  Hypothesis's report hook for a failing test can
 raise a DeprecationWarning from ``mypy_extensions``; as an error it ended
 the session in an INTERNALERROR, so the falsifying example was never shown
-and no later test ran.  The settings ignore that one warning."""
+and no later test ran.  The settings ignore that one warning.
+
+The module also checks the sources themselves: each parses with the
+Python 3.10 grammar, and only ``graph_core`` reaches into a
+``DigitalSpace``'s private members."""
 
 import ast
 import os
@@ -12,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from digital_pde.graph_core import DigitalSpace
 from isolated import ROOT, run_isolated
 
 TWO_TESTS = """
@@ -53,3 +58,27 @@ def test_parses_as_python_3_10(path):
     3.10 run."""
     source = Path(ROOT, path).read_text()
     ast.parse(source, filename=path, feature_version=(3, 10))
+
+
+# The private members of a space: the assembler that stores a graph without
+# the constructor's checks, and the stores behind the read-only mappings.
+PRIVATE_MEMBERS = {name for name in vars(DigitalSpace)
+                   if name.startswith("_") and not name.endswith("__")}
+
+
+def test_private_members_are_known():
+    assert {"_assemble", "_adj", "_index"} <= PRIVATE_MEMBERS
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.startswith("src")
+                                  and not p.endswith("graph_core.py")])
+def test_only_graph_core_touches_a_space_s_private_members(path):
+    """The unchecked path to a space (``_assemble``) and the stores it
+    fills stay behind one module: no other module under ``src`` names
+    them, as an attribute or as a string (``getattr``)."""
+    tree = ast.parse(Path(ROOT, path).read_text(), filename=path)
+    touched = [(node.lineno, name) for node in ast.walk(tree)
+               for name in [node.attr if isinstance(node, ast.Attribute)
+                            else node.value if isinstance(node, ast.Constant) else None]
+               if name in PRIVATE_MEMBERS]
+    assert touched == []

@@ -132,6 +132,11 @@ class TestAttach:
         assert set(g.neighbors(5)) == {1, 2, 3}
         assert is_simple_point(g, 5)
 
+    def test_attach_to_a_rim_given_as_an_iterator(self, four_cycle):
+        """The check reads the rim once; the new point is joined to what it read."""
+        g = attach_point(four_cycle, iter([1, 2, 3]), 5)
+        assert set(g.neighbors(5)) == {1, 2, 3}
+
     def test_attach_edge_checks_simplicity_after_insertion(self, path3):
         g = attach_edge(path3, 1, 3)  # edge rim after insertion = {2}
         assert g.has_edge(1, 3)

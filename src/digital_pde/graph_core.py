@@ -158,7 +158,12 @@ class DigitalSpace:
 
     def positions(self, points: Iterable[int], name: str) -> List[int]:
         """The one lookup of points a caller names: their positions, in order, or an
-        UnknownPointError naming the field and the first not a label of the space."""
+        UnknownPointError naming the field and the first not a label of the space.
+        Points that are not a collection are refused with a ValueError naming the field."""
+        try:
+            points = iter(points)
+        except TypeError:
+            raise ValueError(f"{name}: expected a collection of points, got {points!r}") from None
         points, index = list(points), self._index
         try:
             if set(map(type, points)) <= {int}:  # a plain int is a label: a lookup decides

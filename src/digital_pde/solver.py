@@ -52,44 +52,39 @@ class DivergenceError(RuntimeError):
     """A trajectory 1-norm exceeded the blow-up guard or is not finite."""
 
 
-def _is_number(value) -> bool:
-    """A real number, not a bool (``float`` would take ``True`` and ``"1"``)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _real(value, name: str) -> float:
+    """The one reading of a number the solver takes: ``value`` as a float
+    (NaN and inf pass), or a ValueError naming the field unless it is a
+    real number, not a bool (``float`` would take ``True`` and ``"1"``).
+    An integer too large for a float is refused as not finite.  A plain
+    float is returned as it is."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: expected a finite number, got {value!r}") from None
 
 
 def finite_number(value, name: str) -> float:
-    """``value`` as a finite float, or a ValueError naming the field.  An
-    integer too large for a float is not finite."""
-    if not _is_number(value):
-        raise ValueError(f"{name}: expected a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:
-        x = math.inf
+    """``value`` as a finite float (see ``_real``), or a ValueError naming the field."""
+    x = _real(value, name)
     if not math.isfinite(x):
         raise ValueError(f"{name}: expected a finite number, got {value!r}")
     return x
 
 
 def _reals(values, name: str, copy: bool = False) -> np.ndarray:
-    """``values`` as a float array, a new one if ``copy`` is set, refused
-    with a ValueError naming the argument unless each value is a real
-    number, in ``finite_number``'s wording; an integer too large for a
-    float is refused as not finite.  An array of integers or floats passes
-    on its dtype alone, and a plain float skips the type test."""
-    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
-        for x in np.asarray(values, dtype=object).flat:
-            if type(x) is not float and not _is_number(x):
-                raise ValueError(f"{name}: expected a number, got {x!r}")
-    try:
+    """``values`` as a float array, a new one if ``copy`` is set.  An array
+    of integers or floats passes on its dtype alone; anything else is read
+    by ``_real``, value by value in flat order, naming the argument."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return (np.array if copy else np.asarray)(values, dtype=float)
-    except OverflowError:
-        for x in np.asarray(values, dtype=object).flat:
-            try:
-                float(x)
-            except OverflowError:
-                raise ValueError(f"{name}: expected a finite number, got {x!r}") from None
-        raise
+    objects = np.asarray(values, dtype=object)
+    return np.fromiter((_real(x, name) for x in objects.flat), float,
+                       objects.size).reshape(objects.shape)
 
 
 def _positions(values, name: str, n: int) -> np.ndarray:
@@ -264,10 +259,15 @@ def bind_entries(space: DigitalSpace,
     the flow from source k into destination p.  Pairs not named are
     zero, and a later triple for the same pair wins.  Each entry is
     unpacked and its v checked as ``finite_number`` checks it before any
-    point is looked up; either refusal names ``entries``.  Support is
-    checked as in ``bind``; a point that is not an integer label of the
-    space (``True``, ``1.0``, 99) raises UnknownPointError."""
+    point is looked up; either refusal names ``entries``, as does one of
+    ``entries`` that are not a collection.  Support is checked as in
+    ``bind``; a point that is not an integer label of the space (``True``,
+    ``1.0``, 99) raises UnknownPointError."""
     n = len(space.points)
+    try:
+        entries = iter(entries)
+    except TypeError:
+        raise ValueError(f"entries: expected a collection of entries, got {entries!r}") from None
     ps, ks, values = [], [], []
     for entry in entries:
         try:
@@ -297,20 +297,7 @@ def uniform_coefficients(space: DigitalSpace, offdiag: float,
     weights = np.empty(n + 1)
     weights[n] = finite_number(offdiag, "offdiag")
     if isinstance(diag, dict):
-        # One type pass, skipped at C speed when every value is a plain
-        # float, then one np.isfinite; the first bad value is named.
-        values = list(diag.values())
-        if not set(map(type, values)) <= {float}:
-            for v in values:
-                if not _is_number(v):
-                    raise ValueError(f"diag: expected a number, got {v!r}")
-        try:
-            array = np.fromiter(values, float, len(values))
-        except OverflowError:  # an integer too large for a float
-            array = np.array([finite_number(v, "diag") for v in values])
-        bad = ~np.isfinite(array)
-        if bad.any():
-            raise ValueError(f"diag: expected a finite number, got {values[bad.argmax()]!r}")
+        array = np.fromiter((finite_number(v, "diag") for v in diag.values()), float, len(diag))
         positions = space.positions(diag, "diag")
         if len(diag) != n:
             p = next(p for p in space.points if p not in diag)
@@ -374,8 +361,8 @@ class Problem:
         initial = _field(self.coefficients, self.initial, "initial", finite=True).copy()
         initial.flags.writeable = False
         steps = self.steps
-        if not (isinstance(steps, (int, np.integer)) and not isinstance(steps, bool)
-                or isinstance(steps, float) and steps.is_integer()) or steps < 0:
+        if not (is_label(steps)  # an int or a NumPy integer, not a bool
+                or isinstance(steps, (float, np.floating)) and steps.is_integer()) or steps < 0:
             raise ValueError(f"steps: expected a nonnegative integer, got {steps!r}")
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "steps", int(steps))
@@ -383,7 +370,12 @@ class Problem:
         if (self.boundary_points is None) != (self.boundary_values is None):
             raise ValueError("boundary_points and boundary_values: give both or neither")
         if self.boundary_points is not None:
-            points = tuple(self.boundary_points)
+            try:
+                points = iter(self.boundary_points)
+            except TypeError:
+                raise ValueError("boundary_points: expected a collection of points, "
+                                 f"got {self.boundary_points!r}") from None
+            points = tuple(points)
             self.space.positions(points, "boundary_points")
             if len(set(points)) != len(points):
                 raise ValueError(f"boundary_points: repeated points in {list(points)}")
@@ -428,27 +420,29 @@ def step(f: np.ndarray, c: CoefficientMatrix, t: int, g: Optional[np.ndarray] = 
     return nxt
 
 
-def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
-           t: int) -> None:
-    """Hold each boundary point, at its ``rows`` entry, at its value from
-    ``boundary_values(t)``, which must name exactly the boundary points,
-    each with a real number (as ``_field`` asks of a source; NaN and inf
-    are left to the blow-up guard)."""
+def _clamp(values: np.ndarray, problem: Problem, where: Dict[int, int], t: int) -> None:
+    """Hold each boundary point, at its ``where`` entry, at its value from
+    ``boundary_values(t)``: a mapping of exactly the boundary points, keyed
+    by their integer labels (not ``True`` or ``1.0``), to numbers read by
+    ``_real`` (NaN and inf are left to the blow-up guard).  A missing
+    boundary point is named before a key that is not one."""
     clamps = problem.boundary_values(t)
-    for p, i in rows:
-        if p not in clamps:
-            raise ValueError(f"boundary_values({t}) has no value for boundary point {p}")
-        v = clamps[p]
-        if type(v) is not float and not _is_number(v):  # plain floats skip the check
-            raise ValueError(f"boundary_values({t}): expected a number, got {v!r}")
-        try:
-            values[i] = v
-        except OverflowError:  # an integer too large for a float
-            raise ValueError(f"boundary_values({t}): expected a finite number, "
-                             f"got {v!r}") from None
-    if len(clamps) != len(rows):
-        other = next(p for p in clamps if p not in problem.boundary_points)
-        raise ValueError(f"boundary_values({t}) names point {other}, not a boundary point")
+    if not hasattr(clamps, "items"):
+        raise ValueError(f"boundary_values({t}): expected a mapping of boundary points "
+                         f"to numbers, got {clamps!r}")
+    held, others = [], []
+    for p, v in clamps.items():
+        i = where.get(p) if type(p) is int or is_label(p) else None
+        if i is None:
+            others.append(p)
+        else:
+            values[i] = v if type(v) is float else _real(v, f"boundary_values({t})")
+            held.append(i)
+    if len(held) < len(where):  # a mapping names each point at most once
+        p = next(p for p, i in where.items() if i not in held)
+        raise ValueError(f"boundary_values({t}) has no value for boundary point {p}")
+    if others:
+        raise ValueError(f"boundary_values({t}) names point {others[0]}, not a boundary point")
 
 
 # Overflow and invalid-value warnings are off: the guard refuses an inf or
@@ -458,7 +452,7 @@ def _clamp(values: np.ndarray, problem: Problem, rows: List[Tuple[int, int]],
 def _iterate(problem: Problem) -> Trajectory:
     c = problem.coefficients
     n = c.n
-    rows = [(p, problem.space.index[p]) for p in problem.boundary_points or ()]
+    where = {p: problem.space.index[p] for p in problem.boundary_points or ()}
     source, tol, steps = problem.source, problem.tol, problem.steps
     # Row t of the record is f(t), with its sum at sums[t] and its 1-norm at
     # norms[t].  A run with tol <= 0 ends only at its step cap or by
@@ -474,8 +468,8 @@ def _iterate(problem: Problem) -> Trajectory:
     except (MemoryError, ValueError):
         record, sums, norms = _buffers(start, n)
     record[0] = problem.initial
-    if rows:
-        _clamp(record[0], problem, rows, 0)
+    if where:
+        _clamp(record[0], problem, where, 0)
     # Sums, 1-norms and changes by np.add.reduce over each row of a block:
     # per row, the same sum as ndarray.sum, without its Python wrapper.
     sums[0] = np.add.reduce(record[0])
@@ -503,8 +497,8 @@ def _iterate(problem: Problem) -> Trajectory:
             for s in range(t, end):
                 nxt = step(record[s], c, s, None if source is None else source(s),
                            record[s + 1])
-                if rows:
-                    _clamp(nxt, problem, rows, s + 1)
+                if where:
+                    _clamp(nxt, problem, where, s + 1)
         except Exception as exc:  # re-raised below unless the run stopped before step s + 1
             error, end = exc, s
         k = end - t

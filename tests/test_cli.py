@@ -14,12 +14,38 @@ from digital_pde.solver import solve_ivp
 
 import reference_output as ref
 from isolated import ROOT, run_isolated
+from test_solver import NOT_NUMBER_IDS, NOT_NUMBERS
 
 # The command line as a user runs it, in its own process
 CLI = ["-m", "digital_pde.cli"]
 
 with open(f"{ROOT}/bench/digests.json") as f:
     DIGESTS = json.load(f)
+
+
+# Each number field of a problem file, as the fields of a file holding v there
+NUMBER_FIELDS = {
+    "coefficients.entries": lambda v: {"coefficients": {"entries": [[1, 1, v]]}},
+    "coefficients.uniform_offdiag":
+        lambda v: {"coefficients": {"uniform_offdiag": v, "diag": 0.4}},
+    "coefficients.diag": lambda v: {"coefficients": {"uniform_offdiag": 0.1, "diag": v}},
+    "coefficients.diag_map": lambda v: {"coefficients": {
+        "uniform_offdiag": 0.1, "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"5": v})}},
+    "initial": lambda v: {"initial": [1.0, v] + [0.0] * 14},
+    "initial.value": lambda v: {"initial": {"point": 1, "value": v}},
+    "initial.rest": lambda v: {"initial": {"point": 1, "value": 1.0, "rest": v}},
+    "boundary.values": lambda v: {"boundary": {"points": [1], "values": [v]}},
+    "tol": lambda v: {"tol": v},
+}
+# Every value of NOT_NUMBERS that JSON can hold, in every number field; a
+# NaN in the initial list is read as a number, then refused as not finite.
+NOT_NUMBER_FIELDS = [
+    pytest.param(make(value), "error: " + ("initial: values must be finite"
+                                           if field == "initial" and value != value
+                                           else f"{field}: {text}") + "\n",
+                 id=f"{field}-{kind}")
+    for field, make in NUMBER_FIELDS.items()
+    for (value, text), kind in zip(NOT_NUMBERS, NOT_NUMBER_IDS) if kind != "complex"]
 
 
 @pytest.fixture()
@@ -328,7 +354,9 @@ class TestSolveCommand:
         ({"boundary": {"points": [1.0], "values": [1.0]}},
          "error: boundary.points: point 1.0 is not in the space\n"),
         ({"tol": True}, "error: tol: expected a number, got True"),
-    ], ids=["diag-map-key", "float-point", "true-number"])
+        *NOT_NUMBER_FIELDS,
+    ], ids=["diag-map-key", "float-point", "true-number",
+            *[param.id for param in NOT_NUMBER_FIELDS]])
     def test_malformed_labels_and_numbers_exit_2(self, runner, tmp_path, override, message):
         result = runner.invoke(main, ["solve", klein_problem(tmp_path, **override)])
         assert result.exit_code == 2

@@ -136,3 +136,32 @@ def test_positions_follow_the_order_named():
     assert g.positions([5, 1, 3, 1], "points") == [4, 0, 2, 0]
     assert g.positions([np.int64(2)], "points") == [1]
     assert g.positions((), "points") == []
+
+
+# (field, call with the whole collection of points or entries)
+COLLECTIONS = [
+    ("induced", lambda v: C4.induced(v)),
+    ("delete_points", lambda v: C4.delete_points(v)),
+    ("attach_point", lambda v: attach_point(C4, v, 9)),
+    ("entries", lambda v: bind_entries(C4, v)),
+    ("boundary_points", lambda v: Problem(C4, C4_COEFFS, np.ones(4), boundary_points=v,
+                                          boundary_values=lambda t: {})),
+    ("points", lambda v: elliptic_residual(C4_COEFFS, np.ones(4), points=v)),
+]
+
+
+# None means "no boundary" and "every point" to the last two
+NOT_COLLECTIONS = [pytest.param(field, call, value, id=f"{field}-{kind}")
+                   for field, call in COLLECTIONS
+                   for value, kind in [(5, "int"), (1.0, "float"), (None, "none")]
+                   if value is not None or field not in {"boundary_points", "points"}]
+
+
+@pytest.mark.parametrize("field, call, value", NOT_COLLECTIONS)
+def test_argument_not_a_collection_refused(field, call, value):
+    """Each raised a bare ``TypeError: 'int' object is not iterable``."""
+    with pytest.raises(ValueError) as info:
+        call(value)
+    what = "entries" if field == "entries" else "points"
+    assert str(info.value) == f"{field}: expected a collection of {what}, got {value!r}"
+    assert not isinstance(info.value, UnknownPointError)

@@ -248,10 +248,17 @@ class TestCoefficientMessages:
         ({"uniform_offdiag": 0.1,
           "diag_map": dict({str(p): [0.1, 0.1] for p in range(1, 16)}, **{"16": [0.1, np.nan]})},
          "coefficients.diag_map: expected a number, got [0.1, 0.1]"),
+        ({"entries": [[1, 1, [0.4]]]}, "coefficients.entries: expected a number, got [0.4]"),
+        ({"uniform_offdiag": 0.1, "diag": [0.4]}, "coefficients.diag: expected a number, got [0.4]"),
+        # two faults: the first in the file's order is named
+        ({"uniform_offdiag": 0.1,
+          "diag_map": dict({str(p): 0.4 for p in range(1, 17)}, **{"1": float("nan"), "2": "x"})},
+         "coefficients.diag_map: expected a finite number, got nan"),
     ], ids=["short-entry", "number-entry", "entry-true", "entry-str", "entry-null", "entry-nan",
             "entry-off-the-balls", "offdiag-true", "offdiag-inf", "offdiag-list", "diag-null",
             "diag-str", "diag-object", "diag-map-true", "diag-map-inf", "diag-map-missing",
-            "diag-map-lists", "diag-map-pairs"])
+            "diag-map-lists", "diag-map-pairs", "entry-list", "diag-list",
+            "diag-map-nan-before-str"])
     def test_message(self, coefficients, message):
         with pytest.raises(ProblemFormatError) as info:
             problem_from_json_dict(klein_problem_dict(coefficients=coefficients))
@@ -281,6 +288,7 @@ class TestCoefficientMessages:
         ({"point": 1, "value": HUGE}, "initial.value"),
         ({"point": 1, "value": 1.0, "rest": HUGE}, "initial.rest"),
         ([HUGE] + [0.0] * 15, "initial"),
+        ([HUGE, "a"] + [0.0] * 14, "initial"),  # two faults: the first is named
     ])
     def test_initial_too_large_for_a_float_refused(self, initial, field):
         with pytest.raises(ProblemFormatError) as info:

@@ -122,14 +122,28 @@ class TestBind:
             solve_ivp(Problem(four_cycle, c, np.ones(4), steps=3, tol=0.0))
 
 
-# A value of each kind the number rule refuses, with the text it is refused with
+# A value of each kind the number rule refuses, with the text it is refused
+# with.  Every reader refuses the first six; NaN only those of finite numbers.
 NOT_NUMBERS = [(True, "expected a number, got True"),
                ("0.5", "expected a number, got '0.5'"),
                (None, "expected a number, got None"),
                (1j, "expected a number, got 1j"),
                (10**400, f"expected a finite number, got {10**400}"),
+               ([0.4], "expected a number, got [0.4]"),
                (np.nan, "expected a finite number, got nan")]
-NOT_NUMBER_IDS = ["true", "str", "none", "complex", "huge-int", "nan"]
+NOT_NUMBER_IDS = ["true", "str", "none", "complex", "huge-int", "list", "nan"]
+
+
+def _in_one_slot(v):
+    """Four values per point of ``four_cycle``, with ``v`` at point 2."""
+    return [1.0, v, 0.0, 0.0]
+
+
+def _clamped(g, clamps, points=(1,)):
+    """One step on ``four_cycle`` with ``points`` held by ``clamps``."""
+    return solve_bvp(Problem(g, uniform_coefficients(g, 0.25, 0.5), np.zeros(4),
+                             boundary_points=points, boundary_values=lambda t: clamps,
+                             steps=1, tol=0.0))
 
 
 class TestCoefficientArguments:
@@ -142,11 +156,49 @@ class TestCoefficientArguments:
         ("offdiag", lambda g, v: uniform_coefficients(g, v, 0.5)),
         ("diag", lambda g, v: uniform_coefficients(g, 0.25, v)),
         ("diag", lambda g, v: uniform_coefficients(g, 0.25, {1: 0.5, 2: v, 3: 0.5, 4: 0.5})),
-    ], ids=["entries", "offdiag", "diag", "diag-map"])
+        ("tol", lambda g, v: Problem(g, bind(g, np.eye(4)), np.ones(4), tol=v)),
+    ], ids=["entries", "offdiag", "diag", "diag-map", "tol"])
     def test_value_refused_naming_the_argument(self, four_cycle, name, build, value, text):
         with pytest.raises(ValueError) as info:
             build(four_cycle, value)
         assert str(info.value) == f"{name}: {text}"
+
+    @pytest.mark.parametrize("value, text", NOT_NUMBERS[:6], ids=NOT_NUMBER_IDS[:6])
+    @pytest.mark.parametrize("name, call", [
+        ("initial", lambda g, v: Problem(g, bind(g, np.eye(4)), _in_one_slot(v))),
+        ("f0", lambda g, v: stationary_solution(bind(g, np.eye(4)), _in_one_slot(v))),
+        ("f", lambda g, v: elliptic_residual(bind(g, np.eye(4)), _in_one_slot(v))),
+        ("source(0)", lambda g, v: solve_ivp(Problem(g, bind(g, np.eye(4)), np.ones(4),
+                                                     source=lambda t: _in_one_slot(v),
+                                                     steps=1, tol=0.0))),
+        ("matrix", lambda g, v: bind(g, [[1.0, 0, 0, 0], [0, v, 0, 0], [0, 0, 1.0, 0],
+                                         [0, 0, 0, 1.0]])),
+        ("boundary_values(0)", lambda g, v: _clamped(g, {1: v})),
+    ], ids=["initial", "f0", "f", "source", "matrix", "clamp"])
+    def test_field_value_refused_naming_the_argument(self, four_cycle, name, call, value, text):
+        """The readers of values per point take NaN as a number, and leave
+        it to their own finiteness check or to the blow-up guard."""
+        with pytest.raises(ValueError) as info:
+            call(four_cycle, value)
+        assert str(info.value) == f"{name}: {text}"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: Problem(g, bind(g, np.eye(4)), [10**400, "a", 0, 0]),
+         f"initial: expected a finite number, got {10**400}"),
+        (lambda g: bind(g, [[10**400, 0, 0, 0], [0, "a", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+         f"matrix: expected a finite number, got {10**400}"),
+        (lambda g: uniform_coefficients(g, 0.25, {1: np.nan, 2: "x", 3: 0.5, 4: 0.5}),
+         "diag: expected a finite number, got nan"),
+        (lambda g: _clamped(g, {2: "x"}, (1, 2)),
+         "boundary_values(0): expected a number, got 'x'"),
+        (lambda g: _clamped(g, {2: "x", 1: None}, (1, 2)),
+         "boundary_values(0): expected a number, got 'x'"),
+    ], ids=["initial", "matrix", "diag-map", "clamp-value-before-missing-point",
+            "clamps-in-mapping-order"])
+    def test_first_bad_value_in_the_callers_order_is_named(self, four_cycle, call, message):
+        with pytest.raises(ValueError) as info:
+            call(four_cycle)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("entry", [(1, 2), [1, 2], (1, 2, 0.5, 0.5), 5, None])
     def test_malformed_entry_refused(self, four_cycle, entry):
@@ -217,7 +269,7 @@ class TestCoefficientArguments:
                                   np.array([0, 1], dtype=dtype), [0.5, 0.5])
             assert c.rows.dtype == np.intp and c.rows.tolist() == [0, 1]
 
-    @pytest.mark.parametrize("value, text", NOT_NUMBERS[:5], ids=NOT_NUMBER_IDS[:5])
+    @pytest.mark.parametrize("value, text", NOT_NUMBERS[:6], ids=NOT_NUMBER_IDS[:6])
     def test_data_value_refused(self, four_cycle, value, text):
         with pytest.raises(ValueError) as info:
             CoefficientMatrix(four_cycle, [0, 1], [0, 1], [0.5, value])
@@ -385,11 +437,14 @@ class TestProblemRefusals:
         ({"tol": 10**400}, f"^tol: expected a finite number, got {10**400}$"),
         ({"initial": [1.0, 10**400, 0.0, 0.0]},
          f"^initial: expected a finite number, got {10**400}$"),
+        ({"steps": np.float32(2.5)},
+         f"^steps: expected a nonnegative integer, got {re.escape(repr(np.float32(2.5)))}$"),
     ], ids=["negative-steps", "fractional-steps", "bool-steps", "nan-tol", "string-tol",
             "none-tol", "bool-tol", "nan-initial", "points-without-values",
             "values-without-points", "string-initial", "bool-initial", "complex-initial",
             "bool-array-initial", "none-initial", "bool-boundary-point",
-            "float-boundary-point", "huge-int-tol", "huge-int-initial"])
+            "float-boundary-point", "huge-int-tol", "huge-int-initial",
+            "fractional-numpy-float-steps"])
     def test_refused_naming_the_field(self, four_cycle, fields, message):
         fields = dict({"initial": np.ones(4)}, **fields)
         with pytest.raises(ValueError, match=message):
@@ -413,6 +468,13 @@ class TestProblemRefusals:
         problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
                           steps=np.int64(3), tol=0.0)
         assert len(solve_ivp(problem).values) == 4
+
+    @pytest.mark.parametrize("steps", [np.float16(3.0), np.float32(3.0), np.float64(3.0)])
+    def test_integral_numpy_float_steps_accepted(self, four_cycle, steps):
+        # Only np.float64 is a float: np.float32(3.0) was refused.
+        problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
+                          steps=steps, tol=0.0)
+        assert problem.steps == 3 and type(problem.steps) is int
 
     def test_integral_float_steps_accepted(self, four_cycle):
         problem = Problem(four_cycle, bind(four_cycle, np.eye(4)), np.ones(4),
@@ -842,6 +904,15 @@ class TestSolveBvp:
         ({1: 1.0, 2: 5.0}, "point 2"),
         ({99: 1.0}, "boundary point 1"),
         ({}, "boundary point 1"),
+        # a key equal to the point 1 that is not its label names no point
+        ({True: 5.0}, "boundary_values(0) has no value for boundary point 1"),
+        ({1.0: 5.0}, "boundary_values(0) has no value for boundary point 1"),
+        ({None: 5.0}, "boundary_values(0) has no value for boundary point 1"),
+        ({1: 1.0, "x": 5.0}, "boundary_values(0) names point x, not a boundary point"),
+        # what is not a mapping names no point at all
+        (None, "boundary_values(0): expected a mapping of boundary points to numbers, got None"),
+        ("x", "boundary_values(0): expected a mapping of boundary points to numbers, got 'x'"),
+        ([1.0], "boundary_values(0): expected a mapping of boundary points to numbers, got [1.0]"),
     ])
     def test_clamps_must_name_exactly_the_boundary(self, projective, clamps, named):
         coeffs = uniform_coefficients(
@@ -849,7 +920,7 @@ class TestSolveBvp:
             {p: 1.0 - 0.1 * projective.degree(p) for p in projective.points})
         problem = Problem(projective, coeffs, np.zeros(11), boundary_points=[1],
                           boundary_values=lambda t: clamps)
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=re.escape(named)):
             solve_bvp(problem)
 
     @staticmethod
@@ -866,6 +937,14 @@ class TestSolveBvp:
         with pytest.raises(ValueError, match=r"^boundary_values\(2\): expected a number, "
                                              f"got {re.escape(repr(value))}$"):
             solve_bvp(self.clamped_at_step_2(four_cycle, value))
+
+    def test_numpy_integer_key_clamps_its_point(self, four_cycle):
+        clamps = {1: 2.0}
+        problem = self.clamped_at_step_2(four_cycle, 2.0)
+        expected = solve_bvp(dataclasses.replace(problem, boundary_values=lambda t: clamps))
+        got = solve_bvp(dataclasses.replace(problem,
+                                            boundary_values=lambda t: {np.int64(1): 2.0}))
+        np.testing.assert_array_equal(got.values, expected.values)
 
     @pytest.mark.parametrize("value", [2, np.int64(2), np.float32(2.0), np.float64(2.0)])
     def test_clamp_real_numbers_run(self, four_cycle, value):

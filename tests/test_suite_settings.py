@@ -7,8 +7,8 @@ the session in an INTERNALERROR, so the falsifying example was never shown
 and no later test ran.  The settings ignore that one warning.
 
 The module also checks the sources themselves: each parses with the
-Python 3.10 grammar, and only ``graph_core`` reaches into a
-``DigitalSpace``'s private members."""
+Python 3.10 grammar, only ``graph_core`` reaches into a ``DigitalSpace``'s
+private members, and only ``solver._real`` decides what a number is."""
 
 import ast
 import os
@@ -82,3 +82,34 @@ def test_only_graph_core_touches_a_space_s_private_members(path):
                             else node.value if isinstance(node, ast.Constant) else None]
                if name in PRIVATE_MEMBERS]
     assert touched == []
+
+
+def _number_rule_parts(path):
+    """(function, part) for each part of the number rule in the file at
+    ``path``: a name of ``numbers.Real``, and a caught OverflowError.  The
+    function is the innermost one that holds it, None at module level."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else function
+            if (isinstance(child, ast.Attribute) and child.attr == "Real"
+                    or isinstance(child, ast.ImportFrom) and child.module == "numbers"):
+                yield function, "numbers.Real"
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(isinstance(t, ast.Name) and t.id == "OverflowError" for t in types):
+                    yield function, "OverflowError"
+            yield from walk(child, inner)
+    return set(walk(ast.parse(Path(ROOT, path).read_text(), filename=path), None))
+
+
+def test_one_copy_of_the_number_rule():
+    """What a real number is (a ``numbers.Real``, not a bool; an integer
+    too large for a float is not finite) is decided in ``solver._real``
+    alone.  ``_positions`` also catches an OverflowError, which there means
+    a position out of range."""
+    found = {(path, *part) for path in SOURCES if path.startswith("src")
+             for part in _number_rule_parts(path)}
+    solver = "src/digital_pde/solver.py"
+    assert found == {(solver, "_real", "numbers.Real"), (solver, "_real", "OverflowError"),
+                     (solver, "_positions", "OverflowError")}

@@ -442,7 +442,7 @@ def _clamp(values: np.ndarray, problem: Problem, where: Dict[int, int], t: int) 
         p = next(p for p, i in where.items() if i not in held)
         raise ValueError(f"boundary_values({t}) has no value for boundary point {p}")
     if others:
-        raise ValueError(f"boundary_values({t}) names point {others[0]}, not a boundary point")
+        raise ValueError(f"boundary_values({t}) names point {others[0]!r}, not a boundary point")
 
 
 # Overflow and invalid-value warnings are off: the guard refuses an inf or

@@ -70,8 +70,7 @@ class ReductionTrace:
     terminal: Optional[DigitalSpace] = None
 
     def replay(self, start: DigitalSpace) -> DigitalSpace:
-        points = list(self.deleted_points)
-        start.positions(points, "deleted_points")
+        points = [start.points[i] for i in start.positions(self.deleted_points, "deleted_points")]
         if len(set(points)) != len(points):
             raise ValueError(f"deleted_points: repeated points in {points}")
         verdicts = _Verdicts(start)
@@ -126,36 +125,48 @@ class _Verdicts:
         self._chi: Optional[Callable[[frozenset], int]] = None  # once chi is needed
         self._failure: Dict[Tuple[frozenset, int, str], Optional[Failure]] = {}
 
-    def connected(self, pts: frozenset) -> bool:
-        adj = self.adj
+    def connected(self, pts: frozenset, rims: Optional[Dict[int, frozenset]] = None) -> bool:
+        """``rims``, when given, maps each point of ``pts`` to its rim in a
+        superset of ``pts``; the walk keeps only the points of ``pts``."""
+        rims = self.adj if rims is None else rims
         start = next(iter(pts))
         seen = {start}
         stack = [start]
         while stack:
-            for w in adj[stack.pop()] & pts:
-                if w not in seen:
+            for w in rims[stack.pop()]:
+                if w not in seen and w in pts:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(pts)
+
+    def isolated_pair(self, pts: frozenset) -> bool:
+        """A 0-sphere: two points, neither in the other's rim."""
+        if len(pts) != 2:
+            return False
+        u, v = pts
+        return v not in self.adj[u]
 
     def simple(self, rim: frozenset) -> bool:
         """A point or an edge is simple when its rim is nonempty and contractible."""
         return bool(rim) and self.contractible(rim)
 
-    def contractible(self, pts: frozenset) -> bool:
+    def contractible(self, pts: frozenset, rim_size: Optional[Dict[int, int]] = None,
+                     rims: Optional[Dict[int, frozenset]] = None) -> bool:
         """Decided from the rim sizes inside ``pts`` where they suffice:
         a cone (a point adjacent to all others, as a lone point is) is
         contractible, fewer than |pts| - 1 edges leave ``pts`` disconnected, and a connected
         set with exactly |pts| - 1 edges is a tree, whose leaves are
-        simple.  Only the remaining sets are searched."""
+        simple.  Only the remaining sets are searched.  A caller that
+        has the rim sizes inside ``pts`` passes them (the search uses
+        them up), and may pass rims for the walk as ``connected`` takes them."""
         known = self._contractible.get(pts)
         if known is None:
             others = len(pts) - 1
-            adj = self.adj
-            rim_size = {v: len(adj[v] & pts) for v in pts}
+            if rim_size is None:
+                rim_size = {v: len(self.adj[v] & pts) for v in pts}
             edges = sum(rim_size.values()) // 2
             known = others in rim_size.values() or (
-                edges >= others and self.connected(pts)
+                edges >= others and self.connected(pts, rims)
                 and (edges == others or self.reduction(pts, rim_size) is not None))
             self._contractible[pts] = known
         return known
@@ -271,27 +282,34 @@ class _Verdicts:
         if key in self._failure:
             return self._failure[key]
         adj = self.adj
+        # Every test at this level reads these rims, in point order.
+        rims = {v: adj[v] & pts for v in sorted(pts, key=self.index.__getitem__)}
         found = None
         if n == 0:
-            if len(pts) != 2 or any(adj[v] & pts for v in pts):
+            if not self.isolated_pair(pts):
                 found = None, "not two isolated points"
         elif not pts:
             found = None, "empty graph"
-        elif not self.connected(pts):
+        elif not self.connected(pts, rims):
             found = None, "not connected"
         else:
             rim_kind = "surface" if kind == "surface" else "sphere"
-            ordered = sorted(pts, key=self.index.__getitem__)
-            for v in ordered:
-                if self.failure(adj[v] & pts, n - 1, rim_kind) is not None:
+            for v, rim in rims.items():
+                if (not self.isolated_pair(rim) if n == 1
+                        else self.failure(rim, n - 1, rim_kind) is not None):
                     found = v, f"rim of {v} is not a {n - 1}-{rim_kind}"
                     break
             else:
                 # The definition quantifies over every point: S - v must
                 # be contractible for each v, not just one sample.
                 if kind == "sphere":
-                    for v in ordered:
-                        if not self.contractible(pts - {v}):
+                    size = {v: len(rim) for v, rim in rims.items()}
+                    for v, rim in rims.items():
+                        rest = dict(size)  # the rim sizes inside S - v
+                        del rest[v]
+                        for w in rim:
+                            rest[w] -= 1
+                        if not self.contractible(pts - {v}, rest, rims):
                             found = v, f"deleting {v} leaves a non-contractible graph"
                             break
         self._failure[key] = found

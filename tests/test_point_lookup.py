@@ -143,6 +143,7 @@ COLLECTIONS = [
     ("induced", lambda v: C4.induced(v)),
     ("delete_points", lambda v: C4.delete_points(v)),
     ("attach_point", lambda v: attach_point(C4, v, 9)),
+    ("deleted_points", lambda v: ReductionTrace(deleted_points=v).replay(C4)),
     ("entries", lambda v: bind_entries(C4, v)),
     ("boundary_points", lambda v: Problem(C4, C4_COEFFS, np.ones(4), boundary_points=v,
                                           boundary_values=lambda t: {})),

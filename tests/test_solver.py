@@ -908,11 +908,13 @@ class TestSolveBvp:
         ({True: 5.0}, "boundary_values(0) has no value for boundary point 1"),
         ({1.0: 5.0}, "boundary_values(0) has no value for boundary point 1"),
         ({None: 5.0}, "boundary_values(0) has no value for boundary point 1"),
-        ({1: 1.0, "x": 5.0}, "boundary_values(0) names point x, not a boundary point"),
+        ({1: 1.0, "x": 5.0}, "boundary_values(0) names point 'x', not a boundary point"),
         # what is not a mapping names no point at all
         (None, "boundary_values(0): expected a mapping of boundary points to numbers, got None"),
         ("x", "boundary_values(0): expected a mapping of boundary points to numbers, got 'x'"),
         ([1.0], "boundary_values(0): expected a mapping of boundary points to numbers, got [1.0]"),
+        # a key that spells a boundary point is named by its repr
+        ({1: 1.0, "1": 5.0}, "boundary_values(0) names point '1', not a boundary point"),
     ])
     def test_clamps_must_name_exactly_the_boundary(self, projective, clamps, named):
         coeffs = uniform_coefficients(

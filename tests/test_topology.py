@@ -561,6 +561,61 @@ class TestSearchCost:
         assert is_contractible(catalog.digital_plane_patch(30, 30).space)[0]
         assert len(calls) <= 899
 
+    @pytest.mark.parametrize("check, g", [
+        (is_n_manifold, catalog.space("torus_16")),
+        (is_n_sphere, r_transform(catalog.space("sphere2_8"), 1, 2, 9)),
+    ], ids=["manifold-torus_16", "sphere-sphere2_8+1"])
+    def test_a_level_computes_its_rims_once(self, monkeypatch, check, g):
+        # A level S of the rim recursion computes the rim inside S of each
+        # point once, in point order.  Its walk and each verdict of S - v
+        # read those rims, and S - v gets S's rim sizes less one at each
+        # neighbour of v; the n = 1 level tests its rims as 0-spheres in
+        # place, with no memo entry.
+        instances, walks, verdicts = [], [], []
+        failure, connected, contractible = (
+            _Verdicts.failure, _Verdicts.connected, _Verdicts.contractible)
+
+        def spy_failure(self, pts, n, kind):
+            instances.append(self)
+            return failure(self, pts, n, kind)
+
+        def spy_connected(self, pts, *given):
+            walks.append((pts, given[0] if given else None))
+            return connected(self, pts, *given)
+
+        def spy_contractible(self, pts, *given):
+            size, rims = (given + (None, None))[:2]
+            verdicts.append((pts, None if size is None else dict(size), rims))
+            return contractible(self, pts, *given)  # the search uses the sizes up
+
+        monkeypatch.setattr(_Verdicts, "failure", spy_failure)
+        monkeypatch.setattr(_Verdicts, "connected", spy_connected)
+        monkeypatch.setattr(_Verdicts, "contractible", spy_contractible)
+        assert check(g, 2).ok
+        adj, memo = g.adjacency, instances[0]._failure
+        assert [key for key in memo if key[1] == 0] == []
+        levels = {pts: kind for pts, n, kind in memo}
+        rims = {pts: r for pts, r in walks if r is not None and set(r) == pts}
+        assert set(rims) == set(levels)
+        for pts, r in rims.items():
+            assert list(r) == sorted(pts, key=g.index.__getitem__)
+            assert r == {v: adj[v] & pts for v in pts}
+        # every other walk is one of S - v, on S's rims
+        for pts, r in walks:
+            if pts not in rims:
+                assert r is rims[frozenset(r)] and len(frozenset(r) - pts) == 1
+        deletions = sorted(len(pts) for pts, kind in levels.items() if kind == "sphere"
+                           for _ in pts)
+        got = []
+        for pts, size, r in verdicts:
+            if r is not None:
+                whole = frozenset(r)
+                assert r is rims[whole] and levels[whole] == "sphere"
+                assert len(whole - pts) == 1
+                assert size == {v: len(adj[v] & pts) for v in pts}
+                got.append(len(whole))
+        assert sorted(got) == deletions
+
     # The deletion orders of the 100x100 patch and of homotopy reduction
     # on a 4,000-point cycle with a 4,000-point tail; a search that sorts
     # or rescans every live point per deletion takes 8-11 s on each.

@@ -159,10 +159,12 @@ def transform(source, mode, edge):
         }, indent=2))
 
 
-def _check_outputs(*paths):
+def _check_outputs(out, plot):
     """Refuse, before any run, an output path that is a directory or lies
-    in a directory that does not exist."""
-    for path in filter(None, paths):
+    in a directory that does not exist, and one file named as both."""
+    if out and plot and os.path.realpath(out) == os.path.realpath(plot):
+        _fail_input(f"--out {out} and --plot {plot} are the same file")
+    for path in filter(None, (out, plot)):
         if os.path.isdir(path):
             _fail_input(f"cannot write {path}: Is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):

@@ -27,9 +27,10 @@ simple).  Greedy deletion can dead-end in principle, so otherwise
 contractibility is a depth-first search over deletion choices that
 holds one state: the live points in buckets by rim size, each sorted by
 label; each point's simple verdict, kept until a neighbour is deleted
-or put back; and the (rim size, label) key of each deletion.  A
-backtrack puts the last deleted point back and resumes just after its
-key.  Dead states are remembered as int masks over the point index.
+or put back (a point found not simple leaves its bucket until then);
+and the (rim size, label) key of each deletion.  A backtrack puts the
+last deleted point back and resumes just after its key.  Dead states
+are remembered as int masks over the point index.
 Homotopy reduction keeps a heap of the points whose verdict a deletion
 may have changed.
 
@@ -151,14 +152,15 @@ class _Verdicts:
         return bool(rim) and self.contractible(rim)
 
     def contractible(self, pts: frozenset, rim_size: Optional[Dict[int, int]] = None,
-                     rims: Optional[Dict[int, frozenset]] = None) -> bool:
+                     connected: bool = False) -> bool:
         """Decided from the rim sizes inside ``pts`` where they suffice:
         a cone (a point adjacent to all others, as a lone point is) is
         contractible, fewer than |pts| - 1 edges leave ``pts`` disconnected, and a connected
         set with exactly |pts| - 1 edges is a tree, whose leaves are
         simple.  Only the remaining sets are searched.  A caller that
         has the rim sizes inside ``pts`` passes them (the search uses
-        them up), and may pass rims for the walk as ``connected`` takes them."""
+        them up), and one that knows ``pts`` is connected says so, which
+        skips the walk."""
         known = self._contractible.get(pts)
         if known is None:
             others = len(pts) - 1
@@ -166,7 +168,7 @@ class _Verdicts:
                 rim_size = {v: len(self.adj[v] & pts) for v in pts}
             edges = sum(rim_size.values()) // 2
             known = others in rim_size.values() or (
-                edges >= others and self.connected(pts, rims)
+                edges >= others and (connected or self.connected(pts))
                 and (edges == others or self.reduction(pts, rim_size) is not None))
             self._contractible[pts] = known
         return known
@@ -190,11 +192,13 @@ class _Verdicts:
         only the point's neighbours between buckets.  Each live point's
         simple verdict is decided when the point is first tried and kept
         until one of its neighbours is deleted or put back, since it
-        depends only on ``adj[v] & live``.  A dead state is remembered by
-        its int mask over ``g.index`` (bit i is ``g.points[i]``), for the
-        length of the public call (``start`` itself is not: its verdict
-        is kept by ``contractible``).  A backtrack remembers the dead
-        state, puts the last point back and resumes just after its key.
+        depends only on ``adj[v] & live``; a point found not simple is
+        taken out of its bucket for that long, so no scan reads it again.
+        A dead state is remembered by its int mask over ``g.index`` (bit i
+        is ``g.points[i]``), for the length of the public call (``start``
+        itself is not: its verdict is kept by ``contractible``).  A
+        backtrack remembers the dead state, puts the last point back and
+        resumes just after its key.
 
         The first time it would backtrack from a state below ``start``,
         chi of that state is counted, and chi != 1 ends the search with
@@ -218,24 +222,24 @@ class _Verdicts:
         counted = False
 
         def move(w: int, by: int) -> None:
-            old = buckets[rim_size[w]]
-            del old[bisect_left(old, w)]
+            if simple.pop(w, True):  # a point found not simple is parked
+                old = buckets[rim_size[w]]
+                del old[bisect_left(old, w)]
             rim_size[w] += by
             insort(buckets[rim_size[w]], w)
-            simple.pop(w, None)
 
         def next_simple(size: int, at: int) -> Optional[Tuple[int, int]]:
             """(bucket, position) of the first simple point at or after
             the given one, or None."""
             for size in range(size, len(buckets)):
                 bucket = buckets[size]
-                for at in range(at, len(bucket)):
+                while at < len(bucket):
                     v = bucket[at]
-                    ok = simple.get(v)
-                    if ok is None:
-                        ok = simple[v] = self.simple(adj[v] & live)
-                    if ok:
+                    if v not in simple:
+                        simple[v] = self.simple(adj[v] & live)
+                    if simple[v]:
                         return size, at
+                    del bucket[at]  # parked until ``move`` puts it back
                 at = 0
             return None
 
@@ -277,7 +281,15 @@ class _Verdicts:
     def failure(self, pts: frozenset, n: int, kind: str) -> Optional[Failure]:
         """None when ``pts`` is a digital n-``kind`` (n >= 0), else the
         first ``(point, reason)`` breaking the definition; ``pts`` may be
-        empty.  The point is None for a failure of the whole set."""
+        empty.  The point is None for a failure of the whole set.
+
+        The S - v verdicts of a sphere run only once S is connected and
+        every rim is an (n-1)-sphere, and then S - v is connected too, so
+        it gets no walk.  For n >= 2 the rim of v is a sphere of
+        dimension >= 1, nonempty and connected, and a path of S through v
+        enters and leaves v in its rim, so it can go round v inside the
+        rim.  For n = 1 every rim is two non-adjacent points, so S is a
+        cycle of at least four points and S - v is a path."""
         key = (pts, n, kind)
         if key in self._failure:
             return self._failure[key]
@@ -309,7 +321,7 @@ class _Verdicts:
                         del rest[v]
                         for w in rim:
                             rest[w] -= 1
-                        if not self.contractible(pts - {v}, rest, rims):
+                        if not self.contractible(pts - {v}, rest, connected=True):
                             found = v, f"deleting {v} leaves a non-contractible graph"
                             break
         self._failure[key] = found

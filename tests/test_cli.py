@@ -482,6 +482,25 @@ class TestOutputPaths:
         assert isinstance(result.exception, SystemExit)
         assert f"error: cannot write {path}" in result.output
 
+    @pytest.mark.parametrize("out, plot", [
+        ("x", "x"), ("./x", "x"), ("x", "{dir}/x"), ("sub/../x", "x"),
+    ], ids=["same", "dot-slash", "absolute", "dot-dot"])
+    def test_out_and_plot_the_same_file_exit_2(self, runner, tmp_path, monkeypatch, out, plot):
+        # The SVG would overwrite the CSV, so the pair is refused before
+        # the run and no file is written.
+        problem = klein_problem(tmp_path)
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        out, plot = out.format(dir=tmp_path), plot.format(dir=tmp_path)
+        result = runner.invoke(main, ["solve", problem, "--out", out, "--plot", plot])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines()
+                  if line.lower().startswith("error:")]
+        assert len(errors) == 1
+        assert all(word in errors[0] for word in ("--out", "--plot", out, plot))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json", "sub"]
+
     @pytest.mark.parametrize("args", [
         ["solve", "{problem}", "--out", "{dir}/klein_ivp.csv", "--plot", "{dir}/nodir/x.svg"],
         ["experiment", "klein_ivp", "--out-dir", "{dir}"],

@@ -1,13 +1,15 @@
 import random
 import re
 import tracemalloc
+from bisect import insort
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digital_pde import catalog
+from digital_pde import catalog, topology
 from digital_pde.canonical import are_isomorphic
 from digital_pde.graph_core import (
     DigitalSpace,
@@ -38,7 +40,7 @@ from digital_pde.topology import (
 
 import reference_topology as ref
 from isolated import run_isolated
-from test_topology_reference import graphs
+from test_topology_reference import BENCH, graphs
 
 
 class TestContractible:
@@ -567,10 +569,11 @@ class TestSearchCost:
     ], ids=["manifold-torus_16", "sphere-sphere2_8+1"])
     def test_a_level_computes_its_rims_once(self, monkeypatch, check, g):
         # A level S of the rim recursion computes the rim inside S of each
-        # point once, in point order.  Its walk and each verdict of S - v
-        # read those rims, and S - v gets S's rim sizes less one at each
-        # neighbour of v; the n = 1 level tests its rims as 0-spheres in
-        # place, with no memo entry.
+        # point once, in point order, and walks S once on those rims; the
+        # n = 1 level tests its rims as 0-spheres in place, with no memo
+        # entry.  Each S - v of a sphere is known to be connected, so it
+        # gets no walk, and gets S's rim sizes less one at each neighbour
+        # of v.
         instances, walks, verdicts = [], [], []
         failure, connected, contractible = (
             _Verdicts.failure, _Verdicts.connected, _Verdicts.contractible)
@@ -583,10 +586,9 @@ class TestSearchCost:
             walks.append((pts, given[0] if given else None))
             return connected(self, pts, *given)
 
-        def spy_contractible(self, pts, *given):
-            size, rims = (given + (None, None))[:2]
-            verdicts.append((pts, None if size is None else dict(size), rims))
-            return contractible(self, pts, *given)  # the search uses the sizes up
+        def spy_contractible(self, pts, rim_size=None, *rest, **given):
+            verdicts.append((pts, None if rim_size is None else dict(rim_size), given))
+            return contractible(self, pts, rim_size, *rest, **given)  # the search uses the sizes up
 
         monkeypatch.setattr(_Verdicts, "failure", spy_failure)
         monkeypatch.setattr(_Verdicts, "connected", spy_connected)
@@ -595,26 +597,62 @@ class TestSearchCost:
         adj, memo = g.adjacency, instances[0]._failure
         assert [key for key in memo if key[1] == 0] == []
         levels = {pts: kind for pts, n, kind in memo}
-        rims = {pts: r for pts, r in walks if r is not None and set(r) == pts}
-        assert set(rims) == set(levels)
-        for pts, r in rims.items():
+        # one walk per level, on its rims, and there is no other walk
+        assert sorted(len(pts) for pts, _ in walks) == sorted(len(pts) for pts in levels)
+        for pts, r in walks:
+            assert pts in levels
             assert list(r) == sorted(pts, key=g.index.__getitem__)
             assert r == {v: adj[v] & pts for v in pts}
-        # every other walk is one of S - v, on S's rims
-        for pts, r in walks:
-            if pts not in rims:
-                assert r is rims[frozenset(r)] and len(frozenset(r) - pts) == 1
-        deletions = sorted(len(pts) for pts, kind in levels.items() if kind == "sphere"
-                           for _ in pts)
-        got = []
-        for pts, size, r in verdicts:
-            if r is not None:
-                whole = frozenset(r)
-                assert r is rims[whole] and levels[whole] == "sphere"
-                assert len(whole - pts) == 1
+        deletions = Counter(pts - {v} for pts, kind in levels.items() if kind == "sphere"
+                            for v in pts)
+        got = Counter()
+        for pts, size, given in verdicts:
+            if size is not None:
+                assert given == {"connected": True}
                 assert size == {v: len(adj[v] & pts) for v in pts}
-                got.append(len(whole))
-        assert sorted(got) == deletions
+                got[pts] += 1
+        assert got == deletions
+
+    def test_a_point_found_not_simple_is_parked(self, monkeypatch):
+        # A point found not simple leaves the search's scan until one of
+        # its neighbours is deleted or put back.  Its verdict is read once
+        # where it is decided, and at most once more, when that neighbour
+        # moves it and drops the verdict.
+        monkeypatch.syspath_prepend(BENCH)
+        import inputs
+        g = inputs.grow(minimal_sphere(2), 200, random.Random(3)).delete_point(1)
+        events = []
+
+        class Verdict:
+            def __init__(self, ok, rim):
+                self.ok, self.rim = ok, rim
+
+            def __bool__(self):
+                events.append(("read", self))
+                return self.ok
+
+        simple = _Verdicts.simple
+
+        def spy_simple(self, rim):
+            return Verdict(simple(self, rim), rim)
+
+        def spy_insort(bucket, w):
+            events.append(("move", w))
+            insort(bucket, w)
+
+        monkeypatch.setattr(_Verdicts, "simple", spy_simple)
+        monkeypatch.setattr(topology, "insort", spy_insort)
+        assert is_contractible(g)[0]
+        reads, moved = Counter(), 0
+        for (what, verdict), after in zip(events, events[1:] + [(None, None)]):
+            if what == "read" and not verdict.ok:
+                reads[verdict] += 1
+                if reads[verdict] > 1:
+                    assert reads[verdict] == 2 and after[0] == "move"
+                    w = after[1]
+                    assert w not in verdict.rim <= g.adjacency[w]
+                    moved += 1
+        assert len(reads) > 100 and moved > 100
 
     # The deletion orders of the 100x100 patch and of homotopy reduction
     # on a 4,000-point cycle with a 4,000-point tail; a search that sorts

@@ -3,6 +3,7 @@ in ``reference_topology`` on random graphs of at most 9 points, and on
 the grown surfaces and spheres of the benchmark and the minimal spheres."""
 
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +90,43 @@ def test_recognizers_match_reference(g, n):
     else:
         assert report_tuple(is_n_manifold(g, n)) == ref.manifold_report(g, n)
     assert report_tuple(is_n_surface(g, n)) == ref.surface_report(g, n)
+
+
+def random_graph(rng, max_points=9):
+    n = rng.randint(1, max_points)
+    labels = rng.sample(range(1, 41), n)
+    p = rng.random()
+    return DigitalSpace(labels, [(labels[i], labels[j]) for i in range(n)
+                                 for j in range(i + 1, n) if rng.random() < p])
+
+
+def grown_2_sphere(rng, max_points=20):
+    """``minimal_sphere(2)`` or ``sphere2_8`` grown by R-transforms on
+    uniformly drawn edges to at most ``max_points`` points."""
+    g = rng.choice([minimal_sphere(2), catalog.space("sphere2_8")])
+    for _ in range(rng.randint(0, max_points - len(g.points))):
+        u, v = rng.choice(sorted(g.edges))
+        g = r_transform(g, u, v, max(g.points) + 1)
+    return g
+
+
+# The S - v verdicts of a sphere are reached only by sets whose rims are
+# all spheres, which random graphs rarely are.  So most of the corpus is
+# grown 2-spheres, each checked as it is, with one edge deleted, and with
+# a point attached to the rim of one point (a second point with that rim).
+@pytest.mark.parametrize("seed", range(4))
+def test_recognizers_on_grown_spheres_match_reference(seed):
+    rng = random.Random(seed)
+    spaces = [random_graph(rng) for _ in range(30)]
+    for _ in range(10):
+        g = grown_2_sphere(rng)
+        spaces += [g, g.delete_edge(*rng.choice(sorted(g.edges))),
+                   g.add_point(max(g.points) + 1, g.neighbors(rng.choice(g.points)))]
+    for g in spaces:
+        for n in (1, 2, 3):
+            assert report_tuple(is_n_sphere(g, n)) == ref.sphere_report(g, n)
+            assert report_tuple(is_n_manifold(g, n)) == ref.manifold_report(g, n)
+            assert report_tuple(is_n_surface(g, n)) == ref.surface_report(g, n)
 
 
 @settings(max_examples=100, deadline=None)
